@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .crypto import int_to_hex, rsa_keygen_with_exponent
+from .crypto import GenerationFailure, int_to_hex, rsa_keygen_with_exponent
 from .harness import MODES, RunConfig, run_mode, verify_report
 from .transcript import load_report, write_report_lines
 
@@ -68,7 +68,10 @@ def _cmd_run(parser, args) -> int:
         config.validate()
     except ValueError as exc:
         parser.error(str(exc))
-    report = run_mode(config)
+    try:
+        report = run_mode(config)
+    except GenerationFailure as exc:
+        parser.error(str(exc))
     try:
         write_report_lines(report.to_lines(), args.out)
     except OSError as exc:
@@ -110,7 +113,7 @@ def _cmd_keygen(parser, args) -> int:
     seed = _resolve_seed(parser, args.seed)
     try:
         pair = rsa_keygen_with_exponent(args.bits, args.exponent, seed)
-    except ValueError as exc:
+    except (ValueError, GenerationFailure) as exc:
         parser.error(str(exc))
     print(json.dumps({
         "bits": args.bits,

@@ -14,7 +14,7 @@ protocol transcripts reproduce bit for bit.
 import hashlib
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 HASH_BITS = 256
 HASH_BOUND = 1 << HASH_BITS
@@ -126,22 +126,44 @@ def _sieve(limit):
     return [i for i, f in enumerate(flags) if f]
 
 
-_SMALL_PRIMES = _sieve(1000)
+_SIEVE_LIMIT = 2048
+_SMALL_PRIMES = _sieve(_SIEVE_LIMIT)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_PRIMORIAL = prod(_SMALL_PRIMES)
 # Fixed Miller-Rabin bases: the first 40 primes. Deterministic, so primality
 # answers never depend on RNG state.
 _MR_BASES = _SMALL_PRIMES[:40]
+# The last value the full Miller-Rabin test accepted. Only ever holds a value
+# that test proved, so answering from it gives the answer the test would.
+_last_proven = 0
 
 
 def is_probable_prime(candidate: int) -> bool:
-    """Trial division by primes < 1000, then 40 Miller-Rabin rounds."""
-    if candidate < 2:
+    """Primality by small-prime lookup, a primorial gcd, then Miller-Rabin.
+
+    Values below the sieve limit (2048) are looked up in the set of primes
+    below it. Larger values sharing a factor with the product of those
+    primes are composite; one with no such factor and below 2048**2 is
+    prime. Everything else gets 40 Miller-Rabin rounds with the first 40
+    primes as bases. Those bases make the test exact below 3.3 * 10**24
+    (the first 13 already suffice there), so every answer in that range is
+    the true one; above it a composite could only pass by being a strong
+    pseudoprime to all 40 bases.
+
+    The last value the 40 rounds accepted is kept in one slot and answered
+    at once when asked again, as `_check_randomizer` does for the prime
+    `random_prime_below` has just drawn. The slot holds one proven prime, so
+    answers and transcripts are the same as without it, and nothing carries
+    across runs but that one value.
+    """
+    global _last_proven
+    if candidate < _SIEVE_LIMIT:
+        return candidate in _SMALL_PRIME_SET
+    if candidate == _last_proven:
+        return True
+    if gcd(candidate, _PRIMORIAL) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if candidate == p:
-            return True
-        if candidate % p == 0:
-            return False
-    if candidate < 1009 * 1009:
+    if candidate < _SIEVE_LIMIT * _SIEVE_LIMIT:
         return True
     d = candidate - 1
     r = 0
@@ -158,6 +180,7 @@ def is_probable_prime(candidate: int) -> bool:
                 break
         else:
             return False
+    _last_proven = candidate
     return True
 
 

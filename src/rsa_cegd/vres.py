@@ -98,6 +98,8 @@ def _control_mask(enc_randomizer: int, recovery_modulus: int) -> int:
 def _check_randomizer(randomizer: int, *moduli: int) -> None:
     if randomizer <= 1 or randomizer >= min(moduli):
         raise InvalidRandomizer("randomizer out of range")
+    # A randomizer just drawn by random_prime_below is answered from the
+    # primality test's one-slot memo; any other value gets the full test.
     if not is_probable_prime(randomizer):
         raise InvalidRandomizer("randomizer must be prime")
     for modulus in moduli:

@@ -92,3 +92,16 @@ def test_keygen_hex_exponent(capsys):
     n = int(record["n"], 16)
     assert n.bit_length() == 32
     assert int(record["p"], 16) * int(record["q"], 16) == n
+
+
+def test_no_fitting_key_is_usage_error(tmp_path, capsys):
+    # No 16-bit modulus admits e = 2^20 + 1: a message and exit 2, no traceback.
+    too_large = ["--bits", "16", "--exponent", "1048577", "--seed", "0"]
+    for argv in (["keygen", *too_large],
+                 ["run", "--mode", "honest", *too_large,
+                  "--out", str(tmp_path / "x.jsonl")]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "admits exponent 1048577" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()

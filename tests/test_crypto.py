@@ -3,10 +3,12 @@ hash-to-integer, and the keystream cipher."""
 
 import hashlib
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rsa_cegd.crypto as crypto_mod
 from rsa_cegd.crypto import (
     HASH_BOUND,
     GenerationFailure,
@@ -25,6 +27,7 @@ from rsa_cegd.crypto import (
     sym_decrypt,
     sym_encrypt,
 )
+from rsa_cegd.vres import InvalidRandomizer, generate_vres, wrap_key
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -206,6 +209,95 @@ def test_is_probable_prime_carmichael():
     assert not is_probable_prime(561)
     assert not is_probable_prime(41041)
     assert is_probable_prime((1 << 61) - 1)  # Mersenne prime
+
+
+# Reference: the original primality test (trial division by primes < 1000,
+# then 40 Miller-Rabin rounds), kept verbatim as the oracle for the
+# sieve/gcd/memo version.
+_REF_SMALL_PRIMES = [p for p in range(2, 1000)
+                     if all(p % q for q in range(2, isqrt(p) + 1))]
+_REF_MR_BASES = _REF_SMALL_PRIMES[:40]
+
+
+def reference_is_probable_prime(candidate: int) -> bool:
+    """Trial division by primes < 1000, then 40 Miller-Rabin rounds."""
+    if candidate < 2:
+        return False
+    for p in _REF_SMALL_PRIMES:
+        if candidate == p:
+            return True
+        if candidate % p == 0:
+            return False
+    if candidate < 1009 * 1009:
+        return True
+    d = candidate - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for base in _REF_MR_BASES:
+        x = pow(base, d, candidate)
+        if x == 1 or x == candidate - 1:
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, candidate)
+            if x == candidate - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def assert_same_primality(values):
+    for n in values:
+        assert is_probable_prime(n) == reference_is_probable_prime(n), n
+
+
+def test_primality_matches_reference_below_2_18():
+    assert_same_primality(range(-3, 1 << 18))
+
+
+def test_primality_matches_reference_at_boundaries():
+    limit = crypto_mod._SIEVE_LIMIT
+    # 2053**2 is the smallest composite with no prime factor below the limit.
+    for centre in (limit, limit * limit, 2053 * 2053, 1009 * 1009):
+        assert_same_primality(range(centre - 2, centre + 3))
+    # Squares of primes around the limit: composite, and with no smaller
+    # factor, so only the gcd can reject the ones below limit**2.
+    assert_same_primality(p * p for p in range(2, limit + 100)
+                          if reference_is_probable_prime(p))
+
+
+def test_primality_matches_reference_on_hard_cases():
+    strong_pseudoprimes = [2047, 3215031751, 3825123056546413051,
+                           318665857834031151167461, 3317044064679887385961981]
+    carmichael = [561, 41041, 825265]
+    mersenne_primes = [(1 << 61) - 1, (1 << 89) - 1, (1 << 127) - 1]
+    assert_same_primality(strong_pseudoprimes + carmichael + mersenne_primes)
+    assert not any(map(is_probable_prime, strong_pseudoprimes + carmichael))
+    assert all(map(is_probable_prime, mersenne_primes))
+
+
+def test_primality_matches_reference_on_random_values():
+    rng = random.Random(2024)
+    assert_same_primality(rng.getrandbits(64) for _ in range(2000))
+    assert_same_primality(rng.getrandbits(256) for _ in range(2000))
+
+
+def test_memo_does_not_pass_composite_randomizer():
+    owner = rsa_keygen_with_exponent(256, 65537, seed=9)
+    recovery = rsa_keygen_with_exponent(256, 65537, seed=10)
+    rng = random.Random(13)
+    root = isqrt(min(owner.n, recovery.n))
+    composite = random_prime_below(rng, root) * random_prime_below(rng, root)
+    assert 1 < composite < min(owner.n, recovery.n)
+    randomizer = random_prime_below(rng, owner.n, coprime_to=(owner.n,))
+    assert crypto_mod._last_proven == randomizer
+    with pytest.raises(InvalidRandomizer, match="randomizer must be prime"):
+        wrap_key(12345, composite, owner)
+    with pytest.raises(InvalidRandomizer, match="randomizer must be prime"):
+        generate_vres(67890, owner, recovery, composite)
+    assert wrap_key(12345, randomizer, owner).blinded_key == (randomizer * 12345) % owner.n
 
 
 def test_random_prime_below():
