@@ -133,8 +133,8 @@ _PRIMORIAL = prod(_SMALL_PRIMES)
 # Fixed Miller-Rabin bases: the first 40 primes. Deterministic, so primality
 # answers never depend on RNG state.
 _MR_BASES = _SMALL_PRIMES[:40]
-# The last value the full Miller-Rabin test accepted. Only ever holds a value
-# that test proved, so answering from it gives the answer the test would.
+# One-slot memo (see is_probable_prime). It only ever holds a value the full
+# test accepted, so even a slot written by another thread answers correctly.
 _last_proven = 0
 
 

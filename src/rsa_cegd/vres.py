@@ -98,8 +98,7 @@ def _control_mask(enc_randomizer: int, recovery_modulus: int) -> int:
 def _check_randomizer(randomizer: int, *moduli: int) -> None:
     if randomizer <= 1 or randomizer >= min(moduli):
         raise InvalidRandomizer("randomizer out of range")
-    # A randomizer just drawn by random_prime_below is answered from the
-    # primality test's one-slot memo; any other value gets the full test.
+    # Answered from is_probable_prime's one-slot memo right after random_prime_below.
     if not is_probable_prime(randomizer):
         raise InvalidRandomizer("randomizer must be prime")
     for modulus in moduli:
