@@ -30,9 +30,20 @@ GOLDEN = {
     ("eoo-forward", 256, 65537, 3): "c7b80257c2c22db6f06a398b60ccdf53bde8723be7f881dbd76f0c01f80783c3",
 }
 
+# Same digest for 140,000 bytes of goods: 4,375 keystream blocks, so the
+# goods cross two 64 KiB boundaries and the block index grows from three to
+# four hex digits at block 4,096.
+LARGE_GOODS = 140_000
+GOLDEN_LARGE_GOODS = {
+    ("honest", 128, 65537, 1): "d7515fc0f7a644392447398ecd83a4aa4043e0eccc05794acbc7d04dc5b558ee",
+    ("replay", 128, 65537, 1): "ef44c9da8ef4efa1f94757da90a741498e0a22374c51d42674d61317a2520dba",
+    ("eoo-forward", 128, 65537, 1): "7284c582ba49a86d3884e20e42081263f4b56779a4ede83c9f68cc70a07a45f7",
+}
 
-def transcript_digest(mode, bits, exponent, seed):
-    config = RunConfig(mode=mode, bits=bits, exponent=exponent, seed=seed)
+
+def transcript_digest(mode, bits, exponent, seed, goods_size=64):
+    config = RunConfig(mode=mode, bits=bits, exponent=exponent, seed=seed,
+                       goods_size=goods_size)
     lines = run_mode(config).to_lines()
     return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
 
@@ -40,6 +51,11 @@ def transcript_digest(mode, bits, exponent, seed):
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_transcript_digest(key):
     assert transcript_digest(*key) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_LARGE_GOODS))
+def test_large_goods_transcript_digest(key):
+    assert transcript_digest(*key, goods_size=LARGE_GOODS) == GOLDEN_LARGE_GOODS[key]
 
 
 def test_no_state_carried_between_runs():
