@@ -96,7 +96,7 @@ def _cmd_run(parser, args) -> int:
 def _cmd_verify(args) -> int:
     try:
         rows = load_report(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         print(f"cannot read transcript: {exc}", file=sys.stderr)
         return 1
     problems = verify_report(rows)

@@ -75,9 +75,14 @@ def _cert_digest(description, ciphertext_hash, goods_hash, enc_key, modulus):
 
 
 def issue_goods_cert(ca: CaIdentity, goods: bytes, description: bytes,
-                     key: int, owner_pub: PublicKey) -> GoodsCertificate:
+                     key: int, owner_pub: PublicKey) -> tuple[GoodsCertificate, bytes]:
     """Sign the binding between a goods payload, its encryption under
-    `key`, and the key itself encrypted to the owner."""
+    `key`, and the key itself encrypted to the owner.
+
+    Returns the certificate and the ciphertext it binds,
+    `sym_encrypt(key, goods)`, so the seller sends the goods without
+    encrypting them a second time.
+    """
     if not 1 < key < owner_pub.n:
         raise InvalidKey("symmetric key out of range for the owner modulus")
     if gcd(key, owner_pub.n) != 1:
@@ -88,7 +93,7 @@ def issue_goods_cert(ca: CaIdentity, goods: bytes, description: bytes,
     enc_key = mod_pow(key, owner_pub.e, owner_pub.n)
     digest = _cert_digest(description, ct_hash, g_hash, enc_key, ca.keys.n)
     signature = mod_pow(digest, ca.keys.d, ca.keys.n)
-    return GoodsCertificate(description, ct_hash, g_hash, enc_key, signature)
+    return GoodsCertificate(description, ct_hash, g_hash, enc_key, signature), ciphertext
 
 
 def check_goods_cert(cert: GoodsCertificate, ciphertext: bytes,

@@ -102,15 +102,32 @@ def hash_int(tag: str, data: bytes, modulus: int) -> int:
     return int.from_bytes(digest, "big") % modulus
 
 
+# Bytes XORed per pass; a multiple of the 32-byte keystream block. Bounds
+# the transient keystream and integers to a few times this size.
+_SYM_CHUNK = 64 * 1024
+
+
 def sym_encrypt(key: int, plaintext: bytes) -> bytes:
-    """Deterministic keystream cipher; block i of the stream is the hash
-    of (key, i). Length-preserving; its own inverse."""
-    out = bytearray()
-    for index, pos in enumerate(range(0, len(plaintext), 32)):
-        chunk = plaintext[pos:pos + 32]
-        stream = hashlib.sha256(encode_fields(key, index)).digest()
-        out += bytes(a ^ b for a, b in zip(chunk, stream))
-    return bytes(out)
+    """Deterministic keystream cipher. Length-preserving; its own inverse.
+
+    Keystream block i (i = 0, 1, ...) is the 32-byte
+    sha256(len8(hex key) || hex key || len8(hex i) || hex i), which is
+    sha256(encode_fields(key, i)): hex is the canonical form and len8 an
+    8-byte big-endian length. The blocks are concatenated, cut to the
+    plaintext's length and XORed onto it.
+    """
+    head = encode_fields(key)
+    out = []
+    for start in range(0, len(plaintext), _SYM_CHUNK):
+        chunk = plaintext[start:start + _SYM_CHUNK]
+        size = len(chunk)
+        first = start // 32
+        indices = (b"%x" % i for i in range(first, first + (size + 31) // 32))
+        stream = b"".join([hashlib.sha256(head + len(h).to_bytes(8, "big") + h).digest()
+                           for h in indices])
+        mixed = int.from_bytes(chunk, "big") ^ int.from_bytes(stream[:size], "big")
+        out.append(mixed.to_bytes(size, "big"))
+    return b"".join(out)
 
 
 def sym_decrypt(key: int, ciphertext: bytes) -> bytes:

@@ -425,6 +425,11 @@ def run_mode(config: RunConfig) -> AttackReport:
 # Transcript verification: re-check every signature and congruence in a
 # report and recompute its verdict from the evidence records.
 
+# What a record of the wrong shape raises while it is checked: a missing key,
+# a value of the wrong JSON type, or text that is not hex.
+_MALFORMED = (KeyError, TypeError, ValueError)
+
+
 def _pub_from(fields: dict) -> PublicKey:
     return PublicKey(hex_to_int(fields["e"]), hex_to_int(fields["n"]))
 
@@ -442,7 +447,7 @@ class _SessionTrace:
 def verify_report(rows: list[dict]) -> list[str]:
     """Return a list of problems; empty means the transcript checks out."""
     problems: list[str] = []
-    if not rows or rows[0].get("type") != "header":
+    if not rows or not isinstance(rows[0], dict) or rows[0].get("type") != "header":
         return ["missing header record"]
     header = rows[0]
     try:
@@ -450,7 +455,7 @@ def verify_report(rows: list[dict]) -> list[str]:
                     for pid, entry in header["registry"].items()}
         ca_pub = _pub_from(header["ca"])
         arbiter_pub = _pub_from(header["arbiter"])
-    except (KeyError, ValueError) as exc:
+    except _MALFORMED as exc:
         return [f"malformed header: {exc}"]
 
     sessions: dict[int, _SessionTrace] = {}
@@ -460,16 +465,23 @@ def verify_report(rows: list[dict]) -> list[str]:
     def trace(sid: int) -> _SessionTrace:
         return sessions.setdefault(sid, _SessionTrace())
 
-    for row in rows[1:]:
+    for number, row in enumerate(rows[1:], start=2):
+        if not isinstance(row, dict):
+            problems.append(f"record {number} is not a JSON object")
+            continue
         kind = row.get("type")
         if kind == "message":
             try:
                 _check_message(row, trace(row["session"]), registry, ca_pub,
                                arbiter_pub, problems)
-            except (KeyError, ValueError) as exc:
+            except _MALFORMED as exc:
                 problems.append(f"malformed {row.get('step')} record: {exc}")
         elif kind == "evidence":
-            evidence_rows[row["party"]] = row
+            party = row.get("party")
+            if isinstance(party, str):
+                evidence_rows[party] = row
+            else:
+                problems.append(f"record {number}: evidence without a party name")
         elif kind == "verdict":
             verdict_row = row
         elif kind == "milestone":
@@ -478,20 +490,27 @@ def verify_report(rows: list[dict]) -> list[str]:
             problems.append(f"unknown record type {kind!r}")
 
     for party, row in sorted(evidence_rows.items()):
-        _check_evidence(row, registry, problems)
+        try:
+            _check_evidence(row, registry, problems)
+        except _MALFORMED as exc:
+            problems.append(f"malformed evidence for {party}: {exc}")
 
     if verdict_row is None:
         problems.append("missing verdict record")
-    else:
+        return problems
+    try:
         snapshots = {
             party: {"goods": row["goods"], "receipts": row["receipts"],
                     "origin_proofs": row["origin_proofs"]}
             for party, row in evidence_rows.items()
         }
         recomputed = verdict_from_snapshot(snapshots).to_record()
-        if recomputed != verdict_row:
-            problems.append(
-                f"verdict mismatch: recorded {verdict_row}, recomputed {recomputed}")
+    except _MALFORMED as exc:
+        problems.append(f"cannot recompute verdict: {exc}")
+        return problems
+    if recomputed != verdict_row:
+        problems.append(
+            f"verdict mismatch: recorded {verdict_row}, recomputed {recomputed}")
     return problems
 
 

@@ -51,7 +51,6 @@ from .crypto import (
     random_prime_below,
     random_unit,
     sym_decrypt,
-    sym_encrypt,
 )
 from .vres import (
     OriginProof,
@@ -234,7 +233,7 @@ class SenderSession:
         keys = self.keyring.keys
         key = random_unit(self.rng, keys.n)
         randomizer = random_prime_below(self.rng, keys.n, coprime_to=(keys.n,))
-        cert = issue_goods_cert(self.ca, goods, description, key, keys.public)
+        cert, ciphertext = issue_goods_cert(self.ca, goods, description, key, keys.public)
         wrapped = wrap_key(key, randomizer, keys)
         self.goods_hash = cert.goods_hash
         self.randomizer = randomizer
@@ -242,7 +241,7 @@ class SenderSession:
         self.cert = cert
         self.phase = SenderPhase.SENT_OFFER
         return GoodsOffer(
-            ciphertext=sym_encrypt(key, goods),
+            ciphertext=ciphertext,
             cert=cert,
             blinded_key=wrapped.blinded_key,
             origin_proof=make_origin_proof(keys, cert.goods_hash),

@@ -40,6 +40,53 @@ def test_verify_missing_file_fails(tmp_path):
     assert main(["verify-transcript", str(tmp_path / "absent.jsonl")]) == 1
 
 
+def replay_rows(tmp_path):
+    out = tmp_path / "replay.jsonl"
+    assert main(["run", "--mode", "replay", "--bits", "64", "--seed", "3",
+                 "--out", str(out)]) == 0
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def verify_lines(tmp_path, capsys, lines):
+    path = tmp_path / "broken.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["verify-transcript", str(path)])
+    return code, capsys.readouterr().out
+
+
+def test_verify_evidence_without_receipts_fails(tmp_path, capsys):
+    rows = replay_rows(tmp_path)
+    del next(r for r in rows if r["type"] == "evidence")["receipts"]
+    code, out = verify_lines(tmp_path, capsys, map(json.dumps, rows))
+    assert code == 1
+    assert "FAIL: malformed evidence for buyer: 'receipts'" in out
+
+
+def test_verify_non_hex_receipt_value_fails(tmp_path, capsys):
+    rows = replay_rows(tmp_path)
+    receipt = next(r for r in rows if r["type"] == "evidence" and r["receipts"])["receipts"][0]
+    receipt["value"] = "zz"
+    code, out = verify_lines(tmp_path, capsys, map(json.dumps, rows))
+    assert code == 1
+    assert "FAIL: malformed evidence for seller: invalid literal" in out
+
+
+def test_verify_record_not_an_object_fails(tmp_path, capsys):
+    lines = [json.dumps(row) for row in replay_rows(tmp_path)]
+    lines.insert(3, "[1,2]")
+    code, out = verify_lines(tmp_path, capsys, lines)
+    assert code == 1
+    assert "FAIL: record 4 is not a JSON object" in out
+
+
+def test_verify_non_utf8_file_fails(tmp_path, capsys):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b"\xff\xfe\n")
+    assert main(["verify-transcript", str(path)]) == 1
+    assert "cannot read transcript" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["run", "--mode", "bogus", "--seed", "1",

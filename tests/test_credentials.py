@@ -27,7 +27,8 @@ DESCRIPTION = b"toy goods"
 
 
 def toy_cert(key=5):
-    return issue_goods_cert(TOY_CA, GOODS, DESCRIPTION, key, TOY_OWNER.public)
+    cert, _ = issue_goods_cert(TOY_CA, GOODS, DESCRIPTION, key, TOY_OWNER.public)
+    return cert
 
 
 def test_issue_toy_encrypted_key():
