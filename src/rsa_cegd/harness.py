@@ -455,7 +455,7 @@ def verify_report(rows: list[dict]) -> list[str]:
                     for pid, entry in header["registry"].items()}
         ca_pub = _pub_from(header["ca"])
         arbiter_pub = _pub_from(header["arbiter"])
-    except _MALFORMED as exc:
+    except (*_MALFORMED, AttributeError) as exc:  # registry not an object
         return [f"malformed header: {exc}"]
 
     sessions: dict[int, _SessionTrace] = {}

@@ -40,44 +40,45 @@ def test_verify_missing_file_fails(tmp_path):
     assert main(["verify-transcript", str(tmp_path / "absent.jsonl")]) == 1
 
 
-def replay_rows(tmp_path):
-    out = tmp_path / "replay.jsonl"
-    assert main(["run", "--mode", "replay", "--bits", "64", "--seed", "3",
-                 "--out", str(out)]) == 0
-    return [json.loads(line) for line in out.read_text().splitlines()]
-
-
-def verify_lines(tmp_path, capsys, lines):
-    path = tmp_path / "broken.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    code = main(["verify-transcript", str(path)])
-    return code, capsys.readouterr().out
-
-
-def test_verify_evidence_without_receipts_fails(tmp_path, capsys):
-    rows = replay_rows(tmp_path)
+def drop_receipts(rows):
     del next(r for r in rows if r["type"] == "evidence")["receipts"]
-    code, out = verify_lines(tmp_path, capsys, map(json.dumps, rows))
-    assert code == 1
-    assert "FAIL: malformed evidence for buyer: 'receipts'" in out
 
 
-def test_verify_non_hex_receipt_value_fails(tmp_path, capsys):
-    rows = replay_rows(tmp_path)
-    receipt = next(r for r in rows if r["type"] == "evidence" and r["receipts"])["receipts"][0]
-    receipt["value"] = "zz"
-    code, out = verify_lines(tmp_path, capsys, map(json.dumps, rows))
-    assert code == 1
-    assert "FAIL: malformed evidence for seller: invalid literal" in out
+def drop_party(rows):
+    del next(r for r in rows if r["type"] == "evidence")["party"]
 
 
-def test_verify_record_not_an_object_fails(tmp_path, capsys):
-    lines = [json.dumps(row) for row in replay_rows(tmp_path)]
-    lines.insert(3, "[1,2]")
-    code, out = verify_lines(tmp_path, capsys, lines)
-    assert code == 1
-    assert "FAIL: record 4 is not a JSON object" in out
+def non_hex_receipt(rows):
+    evidence = next(r for r in rows if r["type"] == "evidence" and r["receipts"])
+    evidence["receipts"][0]["value"] = "zz"
+
+
+def list_record(rows):
+    rows.insert(3, [1, 2])
+
+
+def list_registry(rows):
+    rows[0]["registry"] = []
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (drop_receipts, "FAIL: malformed evidence for buyer: 'receipts'"),
+    (drop_party, "FAIL: record 16: evidence without a party name"),
+    (non_hex_receipt, "FAIL: malformed evidence for seller: invalid literal"),
+    (list_record, "FAIL: record 4 is not a JSON object"),
+    (list_registry, "FAIL: malformed header: 'list' object has no attribute 'items'"),
+], ids=["no-receipts", "no-party", "non-hex-value", "list-record", "list-registry"])
+def test_verify_malformed_record_fails(tmp_path, capsys, corrupt, expected):
+    # A malformed record is a problem line and exit 1, never a traceback.
+    path = tmp_path / "replay.jsonl"
+    assert main(["run", "--mode", "replay", "--bits", "64", "--seed", "3",
+                 "--out", str(path)]) == 0
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    corrupt(rows)
+    path.write_text("\n".join(map(json.dumps, rows)) + "\n")
+    capsys.readouterr()
+    assert main(["verify-transcript", str(path)]) == 1
+    assert expected in capsys.readouterr().out
 
 
 def test_verify_non_utf8_file_fails(tmp_path, capsys):
