@@ -36,8 +36,6 @@ from .credentials import (
     TtpIdentity,
     hash_goods,
     issue_recoverable_cert,
-    verify_goods_cert,
-    verify_recoverable_cert,
 )
 from .crypto import (
     PublicKey,
@@ -47,7 +45,6 @@ from .crypto import (
     int_to_hex,
     mod_pow,
     rsa_keygen_with_exponent,
-    sym_decrypt,
 )
 from .protocol import (
     ArbiterService,
@@ -56,15 +53,13 @@ from .protocol import (
     ReceiverSession,
     Reject,
     SenderSession,
+    check_encrypted_receipt,
+    check_offer,
+    check_recovery_request,
+    open_goods,
+    open_receipt,
 )
-from .vres import (
-    VresTriple,
-    derive_enc_randomizer,
-    unwrap_key,
-    verify_auth_token,
-    verify_origin_proof,
-    verify_vres,
-)
+from .vres import Receipt, verify_origin_proof, verify_receipt
 
 SELLER = "seller"
 BUYER = "buyer"
@@ -137,10 +132,6 @@ class World:
     def log_milestone(self, label: str, session: int) -> None:
         self.records.append(transcript.milestone_record(label, session))
 
-    @property
-    def milestones(self) -> list[str]:
-        return [r["label"] for r in self.records if r["type"] == "milestone"]
-
     def header(self) -> dict:
         cfg = self.config
         return {
@@ -152,16 +143,11 @@ class World:
             "seed": cfg.seed,
             "goods_size": cfg.goods_size,
             "parties": sorted(self.ledgers),
-            "registry": {
-                party: {"e": int_to_hex(pub.e), "n": int_to_hex(pub.n)}
-                for party, pub in sorted(self.registry.items())
-            },
-            "ca": {"id": self.ca.party_id,
-                   "e": int_to_hex(self.ca.keys.e),
-                   "n": int_to_hex(self.ca.keys.n)},
+            "registry": {party: transcript.key_fields(pub)
+                         for party, pub in sorted(self.registry.items())},
+            "ca": {"id": self.ca.party_id, **transcript.key_fields(self.ca.keys.public)},
             "arbiter": {"id": self.arbiter.party_id,
-                        "e": int_to_hex(self.arbiter.keys.e),
-                        "n": int_to_hex(self.arbiter.keys.n)},
+                        **transcript.key_fields(self.arbiter.keys.public)},
         }
 
 
@@ -194,7 +180,7 @@ def build_world(config: RunConfig, include_outsider: bool = False) -> World:
     party_ids = [SELLER, BUYER] + ([OUTSIDER] if include_outsider else [])
     keyrings = {pid: PartyKeyring(pid, keypair(f"party-{pid}")) for pid in party_ids}
     registry = {pid: ring.keys.public for pid, ring in keyrings.items()}
-    buyer_cert, buyer_recovery = issue_recovery_material(
+    buyer_cert, buyer_recovery = issue_recoverable_cert(
         arbiter, keyrings[BUYER].keys.e, config.bits, derive_seed(seed, "recovery-buyer"))
     return World(
         config=config,
@@ -205,11 +191,6 @@ def build_world(config: RunConfig, include_outsider: bool = False) -> World:
         recovery_certs={BUYER: (buyer_cert, buyer_recovery)},
         ledgers={pid: EvidenceLedger(pid) for pid in party_ids},
     )
-
-
-def issue_recovery_material(arbiter: TtpIdentity, exponent: int, bits: int,
-                            seed: int) -> tuple[RecoverableCert, RsaKeyPair]:
-    return issue_recoverable_cert(arbiter, exponent, bits, seed)
 
 
 def session_goods(config: RunConfig, session: int) -> tuple[bytes, bytes]:
@@ -227,8 +208,7 @@ def make_sessions(world: World, session: int) -> tuple[SenderSession, ReceiverSe
     sender = SenderSession(world.keyrings[SELLER], BUYER, world.ca,
                            world.arbiter.keys.public, world.registry,
                            world.ledgers[SELLER], sender_rng)
-    receiver = ReceiverSession(world.keyrings[BUYER], SELLER,
-                               world.ca.keys.public, world.arbiter.keys.public,
+    receiver = ReceiverSession(world.keyrings[BUYER], SELLER, world.ca.keys.public,
                                world.registry, cert, recovery_keys,
                                world.ledgers[BUYER], receiver_rng)
     return sender, receiver
@@ -360,12 +340,10 @@ def run_replay_attack(config: RunConfig) -> AttackReport:
 
     # Side observation, checked outside the buyer's behavior: the delivered
     # randomizer does open session 1's ciphertext if anyone tried.
-    seller_pub = world.registry[SELLER]
-    old_key = unwrap_key(offer1.blinded_key, goods_key.randomizer, seller_pub.n)
-    _expect(mod_pow(old_key, seller_pub.e, seller_pub.n) == offer1.cert.enc_key,
-            "stale randomizer should fit session 1's wrapped key")
-    _expect(hash_goods(sym_decrypt(old_key, offer1.ciphertext)) == goods_hash1,
-            "stale randomizer should decrypt session 1's goods")
+    try:
+        open_goods(offer1, goods_key.randomizer, world.registry[SELLER])
+    except Reject:
+        raise ScriptError("stale randomizer should open session 1's goods")
     world.log_milestone("stale-key-opens-prior-session", 2)
 
     verdict = evaluate_fairness(world)
@@ -422,26 +400,23 @@ def run_mode(config: RunConfig) -> AttackReport:
 
 
 # ---------------------------------------------------------------------------
-# Transcript verification: re-check every signature and congruence in a
-# report and recompute its verdict from the evidence records.
+# Transcript verification: run each message's step check from protocol
+# against the session's logged E1, E2 and R1, re-check the evidence, and
+# recompute the verdict. Message problems read "session <sid> <step>: <code>"
+# with the handlers' codes plus misrouted (a route that does not fit the
+# session, or an unregistered party), missing-E1/-E2/-R1, residue-mismatch
+# (R2), forward-mismatch (R3) and unknown-step. A message that depends on an
+# E1, E2 or R1 that failed is not checked, so each fault is reported once.
+# R2 and R3 are checked as the arbiter's output, not with the parties' own
+# checks: the buyer's rejection of a stale R3 is the recorded attack.
 
 # What a record of the wrong shape raises while it is checked: a missing key,
 # a value of the wrong JSON type, or text that is not hex.
 _MALFORMED = (KeyError, TypeError, ValueError)
 
 
-def _pub_from(fields: dict) -> PublicKey:
-    return PublicKey(hex_to_int(fields["e"]), hex_to_int(fields["n"]))
-
-
-class _SessionTrace:
-    def __init__(self):
-        self.offer = None          # E1 fields
-        self.offer_sender = None
-        self.enc_receipt = None    # E2 fields
-        self.enc_receipt_sender = None
-        self.request = None        # R1 fields
-        self.request_sender = None
+class _Unchecked(Exception):
+    """The message depends on an earlier one that failed its own check."""
 
 
 def verify_report(rows: list[dict]) -> list[str]:
@@ -451,19 +426,19 @@ def verify_report(rows: list[dict]) -> list[str]:
         return ["missing header record"]
     header = rows[0]
     try:
-        registry = {pid: _pub_from(entry)
+        registry = {pid: transcript.key_from_fields(entry)
                     for pid, entry in header["registry"].items()}
-        ca_pub = _pub_from(header["ca"])
-        arbiter_pub = _pub_from(header["arbiter"])
+        ca_pub = transcript.key_from_fields(header["ca"])
+        arbiter = (header["arbiter"]["id"], transcript.key_from_fields(header["arbiter"]))
     except (*_MALFORMED, AttributeError) as exc:  # registry not an object
         return [f"malformed header: {exc}"]
 
-    sessions: dict[int, _SessionTrace] = {}
+    # (session, step) -> None until the message passes its check, then
+    # (row, what later steps use: the decoded E2 or R1; for E1 its goods hash
+    # and the sender's encrypted randomizer, not the bulky ciphertext).
+    logged: dict[tuple, tuple | None] = {}
     evidence_rows: dict[str, dict] = {}
     verdict_row = None
-
-    def trace(sid: int) -> _SessionTrace:
-        return sessions.setdefault(sid, _SessionTrace())
 
     for number, row in enumerate(rows[1:], start=2):
         if not isinstance(row, dict):
@@ -472,8 +447,11 @@ def verify_report(rows: list[dict]) -> list[str]:
         kind = row.get("type")
         if kind == "message":
             try:
-                _check_message(row, trace(row["session"]), registry, ca_pub,
-                               arbiter_pub, problems)
+                _check_message(row, logged, registry, ca_pub, arbiter)
+            except Reject as rej:
+                problems.append(f"session {row['session']} {row['step']}: {rej.reason}")
+            except _Unchecked:
+                pass
             except _MALFORMED as exc:
                 problems.append(f"malformed {row.get('step')} record: {exc}")
         elif kind == "evidence":
@@ -484,9 +462,9 @@ def verify_report(rows: list[dict]) -> list[str]:
                 problems.append(f"record {number}: evidence without a party name")
         elif kind == "verdict":
             verdict_row = row
-        elif kind == "milestone":
-            pass
-        else:
+        elif kind == "header":
+            problems.append(f"record {number}: duplicate header record")
+        elif kind != "milestone":
             problems.append(f"unknown record type {kind!r}")
 
     for party, row in sorted(evidence_rows.items()):
@@ -499,12 +477,7 @@ def verify_report(rows: list[dict]) -> list[str]:
         problems.append("missing verdict record")
         return problems
     try:
-        snapshots = {
-            party: {"goods": row["goods"], "receipts": row["receipts"],
-                    "origin_proofs": row["origin_proofs"]}
-            for party, row in evidence_rows.items()
-        }
-        recomputed = verdict_from_snapshot(snapshots).to_record()
+        recomputed = verdict_from_snapshot(evidence_rows).to_record()
     except _MALFORMED as exc:
         problems.append(f"cannot recompute verdict: {exc}")
         return problems
@@ -514,132 +487,68 @@ def verify_report(rows: list[dict]) -> list[str]:
     return problems
 
 
-def _check_message(row: dict, tr: _SessionTrace, registry, ca_pub, arbiter_pub,
-                   problems: list[str]) -> None:
-    step = row["step"]
-    sid = row["session"]
-    fields = row["fields"]
+def _route(row: dict) -> tuple:
+    return row.get("sender"), row.get("recipient")
 
-    def flag(what: str) -> None:
-        problems.append(f"session {sid} {step}: {what}")
 
+def _expect_route(row: dict, route: tuple) -> None:
+    if _route(row) != route:
+        raise Reject("misrouted")
+
+
+def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple) -> None:
+    step, sid = row["step"], row["session"]
+    if step not in transcript.BODIES:
+        raise Reject("unknown-step")
+    logged[sid, step] = None
+    body = kept = transcript.decode_body(step, row["fields"])
+    sender, recipient = _route(row)
+    arbiter_id, arbiter_pub = arbiter
+
+    def prior(tag: str) -> tuple:
+        if (sid, tag) not in logged:
+            raise Reject(f"missing-{tag}")
+        if logged[sid, tag] is None:
+            raise _Unchecked
+        return logged[sid, tag]
+
+    # A passed E1 has two registered parties, so the E2..E4 that route
+    # between them find both in the registry.
     if step == "E1":
-        cert = transcript.goods_cert_from_fields(fields["cert"])
-        ciphertext = bytes.fromhex(fields["ciphertext"])
-        sender_pub = registry.get(row["sender"])
-        if sender_pub is None:
-            flag(f"unknown sender {row['sender']!r}")
-            return
-        if not verify_goods_cert(cert, ciphertext, ca_pub):
-            flag("goods certificate fails against its ciphertext")
-        if not verify_origin_proof(hex_to_int(fields["origin_proof"]),
-                                   cert.goods_hash, sender_pub):
-            flag("origin proof fails")
-        tr.offer = fields
-        tr.offer_sender = row["sender"]
+        if sender not in registry or recipient not in registry or sender == recipient:
+            raise Reject("misrouted")
+        kept = (body.cert.goods_hash, check_offer(body, ca_pub, registry[sender]))
     elif step == "E2":
-        if tr.offer is None:
-            flag("no matching E1 in this session")
-            return
-        rec_cert = transcript.recovery_cert_from_fields(fields["recovery_cert"])
-        signer_pub = registry.get(row["sender"])
-        offer_pub = registry.get(tr.offer_sender)
-        if signer_pub is None or offer_pub is None:
-            flag("unknown party in session")
-            return
-        if not verify_recoverable_cert(rec_cert, arbiter_pub):
-            flag("recovery certificate signature fails")
-        if rec_cert.pub.e != signer_pub.e:
-            flag("recovery certificate exponent differs from the signer's")
-        offer_cert = transcript.goods_cert_from_fields(tr.offer["cert"])
-        triple = VresTriple(
-            enc_randomizer=hex_to_int(fields["enc_randomizer"]),
-            blinded_receipt=hex_to_int(fields["blinded_receipt"]),
-            control=hex_to_int(fields["control"]),
-        )
-        if not verify_vres(triple, offer_cert.goods_hash, signer_pub, rec_cert.pub):
-            flag("encrypted receipt congruences fail")
-        try:
-            sender_enc_rand = derive_enc_randomizer(
-                hex_to_int(tr.offer["blinded_key"]), offer_cert.enc_key, offer_pub)
-        except ValueError:
-            flag("cannot derive the offer's encrypted randomizer")
-            return
-        if not verify_auth_token(hex_to_int(fields["auth_token"]), signer_pub,
-                                 rec_cert, triple.enc_randomizer,
-                                 sender_enc_rand, tr.offer_sender):
-            flag("authorization token fails")
-        tr.enc_receipt = fields
-        tr.enc_receipt_sender = row["sender"]
+        offer_row, (goods_hash, sender_enc_randomizer) = prior("E1")
+        _expect_route(row, _route(offer_row)[::-1])
+        check_encrypted_receipt(body, goods_hash, registry[sender], arbiter_pub,
+                                sender_enc_randomizer, recipient)
     elif step == "E3":
-        if tr.offer is None:
-            flag("no matching E1 in this session")
-            return
-        randomizer = hex_to_int(fields["randomizer"])
-        offer_cert = transcript.goods_cert_from_fields(tr.offer["cert"])
-        offer_pub = registry.get(tr.offer_sender)
-        sender_enc_rand = derive_enc_randomizer(
-            hex_to_int(tr.offer["blinded_key"]), offer_cert.enc_key, offer_pub)
-        if mod_pow(randomizer, offer_pub.e, offer_pub.n) != sender_enc_rand:
-            flag("released randomizer does not match the offer")
-            return
-        key = unwrap_key(hex_to_int(tr.offer["blinded_key"]), randomizer, offer_pub.n)
-        if mod_pow(key, offer_pub.e, offer_pub.n) != offer_cert.enc_key:
-            flag("unwrapped key fails the certified encrypted key")
-            return
-        payload = sym_decrypt(key, bytes.fromhex(tr.offer["ciphertext"]))
-        if hash_goods(payload) != offer_cert.goods_hash:
-            flag("decrypted goods do not match the certified hash")
+        offer_row, _ = prior("E1")
+        _expect_route(row, _route(offer_row))
+        open_goods(transcript.decode_body("E1", offer_row["fields"]), body.randomizer,
+                   registry[sender])
     elif step == "E4":
-        if tr.enc_receipt is None:
-            flag("no matching E2 in this session")
-            return
-        signer_pub = registry.get(tr.enc_receipt_sender)
-        rec_cert = transcript.recovery_cert_from_fields(
-            tr.enc_receipt["recovery_cert"])
-        randomizer = hex_to_int(fields["randomizer"])
-        combined = signer_pub.n * rec_cert.pub.n
-        if mod_pow(randomizer, signer_pub.e, combined) != hex_to_int(
-                tr.enc_receipt["enc_randomizer"]):
-            flag("released randomizer does not open the encrypted receipt")
+        offer_row, (goods_hash, _) = prior("E1")
+        _expect_route(row, _route(offer_row)[::-1])
+        open_receipt(prior("E2")[1], body.randomizer, registry[sender], goods_hash,
+                     sender)
     elif step == "R1":
-        rec_cert = transcript.recovery_cert_from_fields(fields["recovery_cert"])
-        requester_pub = registry.get(row["sender"])
-        counter_pub = registry.get(fields["counterparty"])
-        if requester_pub is None or counter_pub is None:
-            flag("unknown party in recovery request")
-            return
-        if not verify_recoverable_cert(rec_cert, arbiter_pub):
-            flag("recovery certificate signature fails")
-        if rec_cert.pub.e != counter_pub.e:
-            flag("recovery certificate exponent differs from the counterparty's")
-        if not verify_auth_token(hex_to_int(fields["auth_token"]), counter_pub,
-                                 rec_cert, hex_to_int(fields["enc_randomizer"]),
-                                 hex_to_int(fields["sender_enc_randomizer"]),
-                                 row["sender"]):
-            flag("authorization token fails")
-        if mod_pow(hex_to_int(fields["sender_randomizer"]), requester_pub.e,
-                   requester_pub.n) != hex_to_int(fields["sender_enc_randomizer"]):
-            flag("sender randomizer does not match its encryption")
-        tr.request = fields
-        tr.request_sender = row["sender"]
-    elif step == "R2":
-        if tr.request is None:
-            flag("no matching R1 in this session")
-            return
-        rec_cert = transcript.recovery_cert_from_fields(tr.request["recovery_cert"])
-        randomizer = hex_to_int(fields["randomizer"])
-        expected = hex_to_int(tr.request["enc_randomizer"]) % rec_cert.pub.n
-        if mod_pow(randomizer, rec_cert.pub.e, rec_cert.pub.n) != expected:
-            flag("recovered randomizer does not open the request's residue")
-    elif step == "R3":
-        if tr.request is None:
-            flag("no matching R1 in this session")
-            return
-        if fields["randomizer"] != tr.request["sender_randomizer"]:
-            flag("forwarded randomizer differs from the request's")
+        if recipient != arbiter_id:
+            raise Reject("misrouted")
+        check_recovery_request(body, sender, arbiter_pub, registry)
     else:
-        flag(f"unknown step tag {step!r}")
+        request_row, request = prior("R1")
+        if step == "R2":
+            _expect_route(row, (arbiter_id, request_row.get("sender")))
+            pub = request.recovery_cert.pub
+            if mod_pow(body.randomizer, pub.e, pub.n) != request.enc_randomizer % pub.n:
+                raise Reject("residue-mismatch")
+        else:
+            _expect_route(row, (arbiter_id, request.counterparty))
+            if body.randomizer != request.sender_randomizer:
+                raise Reject("forward-mismatch")
+    logged[sid, step] = (row, kept)
 
 
 def _check_evidence(row: dict, registry, problems: list[str]) -> None:
@@ -657,9 +566,9 @@ def _check_evidence(row: dict, registry, problems: list[str]) -> None:
         if signer_pub is None:
             flag(f"receipt from unknown signer {entry['signer']!r}")
             continue
-        value = hex_to_int(entry["value"])
-        if mod_pow(value, signer_pub.e, signer_pub.n) != \
-                hex_to_int(entry["goods_hash"]) % signer_pub.n:
+        receipt = Receipt(hex_to_int(entry["value"]), hex_to_int(entry["goods_hash"]),
+                          entry["signer"])
+        if not verify_receipt(receipt, signer_pub):
             flag("receipt does not verify")
     for entry in row["origin_proofs"]:
         originator_pub = registry.get(entry["originator"])

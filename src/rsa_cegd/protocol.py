@@ -22,9 +22,11 @@ the harness depend on them:
   * a buyer handling a recovered randomizer tests it against the current
     session only, never against earlier ones.
 
-Handlers raise Reject (with a stable reason code) on verification
-failures and return None when a message arrives out of phase, in which
-case state does not change.
+Each step's check is one pure function (check_offer, check_encrypted_receipt,
+open_goods, open_receipt, check_recovery_request) that raises Reject with a
+stable reason code; the handlers and harness.verify_report both call it. A
+handler whose check rejects leaves its session DANGLING; a message that
+arrives out of phase returns None and changes nothing.
 """
 
 import random
@@ -157,6 +159,84 @@ class RecoveredGoodsKey:
     randomizer: int
 
 
+def check_offer(offer: GoodsOffer, ca_pub: PublicKey, sender_pub: PublicKey) -> int:
+    """E1. Returns the sender's encrypted randomizer, derived from the key wrap."""
+    problem = check_goods_cert(offer.cert, offer.ciphertext, ca_pub)
+    if problem is not None:
+        raise Reject(problem)
+    if not verify_origin_proof(offer.origin_proof, offer.cert.goods_hash, sender_pub):
+        raise Reject("eoo-mismatch")
+    try:
+        return derive_enc_randomizer(offer.blinded_key, offer.cert.enc_key, sender_pub)
+    except NotInvertible:
+        raise Reject("bad-enc-key")
+
+
+def check_encrypted_receipt(msg: EncryptedReceipt, goods_hash: int,
+                            signer_pub: PublicKey, arbiter_pub: PublicKey,
+                            sender_enc_randomizer: int, sender_id: str) -> None:
+    """E2: the recovery certificate, the token and the triple's congruences."""
+    if not verify_recoverable_cert(msg.recovery_cert, arbiter_pub):
+        raise Reject("bad-recovery-cert")
+    if msg.recovery_cert.pub.e != signer_pub.e:
+        raise Reject("exponent-mismatch")
+    if not verify_auth_token(msg.auth_token, signer_pub, msg.recovery_cert,
+                             msg.vres.enc_randomizer, sender_enc_randomizer, sender_id):
+        raise Reject("bad-token")
+    if not verify_vres(msg.vres, goods_hash, signer_pub, msg.recovery_cert.pub):
+        raise Reject("bad-vres")
+
+
+def open_goods(offer: GoodsOffer, randomizer: int, sender_pub: PublicKey) -> bytes:
+    """E3 and R3: unwrap the key and decrypt the goods; returns the payload."""
+    try:
+        key = unwrap_key(offer.blinded_key, randomizer, sender_pub.n)
+    except NotInvertible:
+        raise Reject("bad-key")
+    if mod_pow(key, sender_pub.e, sender_pub.n) != offer.cert.enc_key:
+        raise Reject("bad-key")
+    payload = sym_decrypt(key, offer.ciphertext)
+    if hash_goods(payload) != offer.cert.goods_hash:
+        raise Reject("bad-key")
+    return payload
+
+
+def open_receipt(msg: EncryptedReceipt, randomizer: int, signer_pub: PublicKey,
+                 goods_hash: int, signer: str) -> Receipt:
+    """E4 and R2: open the triple with the randomizer; returns the receipt."""
+    combined = signer_pub.n * msg.recovery_cert.pub.n
+    if mod_pow(randomizer, signer_pub.e, combined) != msg.vres.enc_randomizer:
+        raise Reject("bad-rb")
+    try:
+        return recover_receipt(msg.vres.blinded_receipt, randomizer, signer_pub,
+                               goods_hash, signer)
+    except (RecoveryMismatch, NotInvertible):
+        raise Reject("bad-rb")
+
+
+def check_recovery_request(msg: RecoveryRequest, requester: str,
+                           arbiter_pub: PublicKey,
+                           registry: dict[str, PublicKey]) -> None:
+    """R1: internal consistency only; nothing ties the tuple to a session."""
+    if not verify_recoverable_cert(msg.recovery_cert, arbiter_pub):
+        raise Reject("bad-recovery-cert")
+    counter_pub = registry.get(msg.counterparty)
+    if counter_pub is None:
+        raise Reject("unknown-counterparty")
+    if msg.recovery_cert.pub.e != counter_pub.e:
+        raise Reject("exponent-mismatch")
+    if not verify_auth_token(msg.auth_token, counter_pub, msg.recovery_cert,
+                             msg.enc_randomizer, msg.sender_enc_randomizer,
+                             requester):
+        raise Reject("bad-token")
+    requester_pub = registry.get(requester)
+    if requester_pub is None:
+        raise Reject("unknown-requester")
+    if mod_pow(msg.sender_randomizer, requester_pub.e,
+               requester_pub.n) != msg.sender_enc_randomizer:
+        raise Reject("bad-sender-randomizer")
+
+
 class EvidenceLedger:
     """Per-party evidence holdings; every item is verified on insertion.
 
@@ -204,6 +284,15 @@ class EvidenceLedger:
         }
 
 
+def _dangle_on_reject(session, check, *args):
+    """`check(*args)`; a Reject moves `session` to its DANGLING phase."""
+    try:
+        return check(*args)
+    except Reject:
+        session.phase = type(session.phase).DANGLING
+        raise
+
+
 class SenderSession:
     """Seller side of one exchange session."""
 
@@ -221,11 +310,8 @@ class SenderSession:
         self.goods_hash: int | None = None
         self.randomizer: int | None = None
         self.enc_randomizer: int | None = None
-        self.cert: GoodsCertificate | None = None
-        # recovery material, retained from a verified E2
-        self.recovery_cert: RecoverableCert | None = None
-        self.vres: VresTriple | None = None
-        self.auth_token: int | None = None
+        # the verified E2, retained as recovery material
+        self.enc_receipt: EncryptedReceipt | None = None
 
     def start(self, goods: bytes, description: bytes) -> GoodsOffer | None:
         if self.phase is not SenderPhase.INIT:
@@ -238,7 +324,6 @@ class SenderSession:
         self.goods_hash = cert.goods_hash
         self.randomizer = randomizer
         self.enc_randomizer = wrapped.enc_randomizer
-        self.cert = cert
         self.phase = SenderPhase.SENT_OFFER
         return GoodsOffer(
             ciphertext=ciphertext,
@@ -254,25 +339,10 @@ class SenderSession:
         nothing on the wire distinguishes it from a lost message)."""
         if self.phase is not SenderPhase.SENT_OFFER:
             return None
-        counter_pub = self.registry[self.counterparty]
-        if not verify_recoverable_cert(msg.recovery_cert, self.arbiter_pub):
-            self.phase = SenderPhase.DANGLING
-            raise Reject("bad-recovery-cert")
-        if msg.recovery_cert.pub.e != counter_pub.e:
-            self.phase = SenderPhase.DANGLING
-            raise Reject("exponent-mismatch")
-        if not verify_auth_token(msg.auth_token, counter_pub, msg.recovery_cert,
-                                 msg.vres.enc_randomizer, self.enc_randomizer,
-                                 self.keyring.party_id):
-            self.phase = SenderPhase.DANGLING
-            raise Reject("bad-token")
-        if not verify_vres(msg.vres, self.goods_hash, counter_pub,
-                           msg.recovery_cert.pub):
-            self.phase = SenderPhase.DANGLING
-            raise Reject("bad-vres")
-        self.recovery_cert = msg.recovery_cert
-        self.vres = msg.vres
-        self.auth_token = msg.auth_token
+        _dangle_on_reject(self, check_encrypted_receipt, msg, self.goods_hash,
+                          self.registry[self.counterparty], self.arbiter_pub,
+                          self.enc_randomizer, self.keyring.party_id)
+        self.enc_receipt = msg
         if abort:
             self.phase = SenderPhase.DANGLING
             return None
@@ -281,17 +351,8 @@ class SenderSession:
 
     def _accept_receipt_randomizer(self, randomizer: int) -> None:
         counter_pub = self.registry[self.counterparty]
-        combined = counter_pub.n * self.recovery_cert.pub.n
-        if mod_pow(randomizer, counter_pub.e, combined) != self.vres.enc_randomizer:
-            self.phase = SenderPhase.DANGLING
-            raise Reject("bad-rb")
-        try:
-            receipt = recover_receipt(self.vres.blinded_receipt, randomizer,
-                                      counter_pub, self.goods_hash,
-                                      self.counterparty)
-        except (RecoveryMismatch, NotInvertible):
-            self.phase = SenderPhase.DANGLING
-            raise Reject("bad-rb")
+        receipt = _dangle_on_reject(self, open_receipt, self.enc_receipt, randomizer,
+                                    counter_pub, self.goods_hash, self.counterparty)
         self.ledger.record_receipt(receipt, counter_pub)
         self.phase = SenderPhase.DONE
 
@@ -304,19 +365,19 @@ class SenderSession:
         """Arbiter answered a recovery request; unblind the stored triple."""
         if self.phase not in (SenderPhase.SENT_KEY, SenderPhase.DANGLING):
             return None
-        if self.vres is None:
+        if self.enc_receipt is None:
             return None
         self._accept_receipt_randomizer(msg.randomizer)
 
     def recovery_request(self) -> RecoveryRequest:
         """Package the retained E2 material for the arbiter. Only sender
         sessions have this; the receiver role cannot trigger recovery."""
-        if self.recovery_cert is None:
+        if self.enc_receipt is None:
             raise ValueError("no recovery material retained for this session")
         return RecoveryRequest(
-            recovery_cert=self.recovery_cert,
-            enc_randomizer=self.vres.enc_randomizer,
-            auth_token=self.auth_token,
+            recovery_cert=self.enc_receipt.recovery_cert,
+            enc_randomizer=self.enc_receipt.vres.enc_randomizer,
+            auth_token=self.enc_receipt.auth_token,
             sender_enc_randomizer=self.enc_randomizer,
             sender_randomizer=self.randomizer,
             counterparty=self.counterparty,
@@ -327,42 +388,26 @@ class ReceiverSession:
     """Buyer side of one exchange session."""
 
     def __init__(self, keyring: PartyKeyring, counterparty: str, ca_pub: PublicKey,
-                 arbiter_pub: PublicKey, registry: dict[str, PublicKey],
-                 recovery_cert: RecoverableCert, recovery_keys: RsaKeyPair,
-                 ledger: EvidenceLedger, rng: random.Random):
+                 registry: dict[str, PublicKey], recovery_cert: RecoverableCert,
+                 recovery_keys: RsaKeyPair, ledger: EvidenceLedger,
+                 rng: random.Random):
         self.keyring = keyring
         self.counterparty = counterparty
         self.ca_pub = ca_pub
-        self.arbiter_pub = arbiter_pub
         self.registry = registry
         self.recovery_cert = recovery_cert
         self.recovery_keys = recovery_keys
         self.ledger = ledger
         self.rng = rng
         self.phase = ReceiverPhase.INIT
-        self.ciphertext: bytes | None = None
-        self.cert: GoodsCertificate | None = None
-        self.blinded_key: int | None = None
-        self.origin_value: int | None = None
+        self.offer: GoodsOffer | None = None
         self.randomizer: int | None = None
 
     def on_goods_offer(self, msg: GoodsOffer) -> EncryptedReceipt | None:
         if self.phase is not ReceiverPhase.INIT:
             return None
-        sender_pub = self.registry[self.counterparty]
-        problem = check_goods_cert(msg.cert, msg.ciphertext, self.ca_pub)
-        if problem is not None:
-            self.phase = ReceiverPhase.DANGLING
-            raise Reject(problem)
-        if not verify_origin_proof(msg.origin_proof, msg.cert.goods_hash, sender_pub):
-            self.phase = ReceiverPhase.DANGLING
-            raise Reject("eoo-mismatch")
-        try:
-            sender_enc_randomizer = derive_enc_randomizer(
-                msg.blinded_key, msg.cert.enc_key, sender_pub)
-        except NotInvertible:
-            self.phase = ReceiverPhase.DANGLING
-            raise Reject("bad-enc-key")
+        sender_enc_randomizer = _dangle_on_reject(
+            self, check_offer, msg, self.ca_pub, self.registry[self.counterparty])
         keys = self.keyring.keys
         bound = min(keys.n, self.recovery_keys.n)
         randomizer = random_prime_below(self.rng, bound,
@@ -371,43 +416,27 @@ class ReceiverSession:
                                randomizer)
         token = make_auth_token(keys, self.recovery_cert, triple.enc_randomizer,
                                 sender_enc_randomizer, self.counterparty)
-        self.ciphertext = msg.ciphertext
-        self.cert = msg.cert
-        self.blinded_key = msg.blinded_key
-        self.origin_value = msg.origin_proof
+        self.offer = msg
         self.randomizer = randomizer
         self.phase = ReceiverPhase.SENT_RECEIPT
         return EncryptedReceipt(triple, token, self.recovery_cert)
 
-    def _unlock_goods(self, randomizer: int) -> bytes:
-        """Shared E3/R3 handling: unwrap the key, check it against the
-        certified encrypted key, decrypt and check the goods hash. Only on
-        full success do goods and origin proof enter the ledger."""
+    def _unlock_goods(self, randomizer: int) -> None:
+        """Shared E3/R3 handling. Only on full success do goods and origin
+        proof enter the ledger."""
         sender_pub = self.registry[self.counterparty]
-        try:
-            key = unwrap_key(self.blinded_key, randomizer, sender_pub.n)
-        except NotInvertible:
-            raise Reject("bad-key")
-        if mod_pow(key, sender_pub.e, sender_pub.n) != self.cert.enc_key:
-            raise Reject("bad-key")
-        payload = sym_decrypt(key, self.ciphertext)
-        if hash_goods(payload) != self.cert.goods_hash:
-            raise Reject("bad-key")
-        self.ledger.record_goods(payload, self.cert.goods_hash)
+        payload = _dangle_on_reject(self, open_goods, self.offer, randomizer, sender_pub)
+        goods_hash = self.offer.cert.goods_hash
+        self.ledger.record_goods(payload, goods_hash)
         self.ledger.record_origin_proof(
-            OriginProof(self.origin_value, self.cert.goods_hash, self.counterparty),
+            OriginProof(self.offer.origin_proof, goods_hash, self.counterparty),
             sender_pub)
-        return payload
+        self.phase = ReceiverPhase.DONE
 
     def on_key_release(self, msg: KeyRelease) -> ReceiptRelease | None:
         if self.phase is not ReceiverPhase.SENT_RECEIPT:
             return None
-        try:
-            self._unlock_goods(msg.randomizer)
-        except Reject:
-            self.phase = ReceiverPhase.DANGLING
-            raise
-        self.phase = ReceiverPhase.DONE
+        self._unlock_goods(msg.randomizer)
         return ReceiptRelease(self.randomizer)
 
     def on_recovered_randomizer(self, msg: RecoveredGoodsKey) -> None:
@@ -416,12 +445,7 @@ class ReceiverSession:
         offers, and has no way to ask the arbiter anything itself."""
         if self.phase is not ReceiverPhase.SENT_RECEIPT:
             return None
-        try:
-            self._unlock_goods(msg.randomizer)
-        except Reject:
-            self.phase = ReceiverPhase.DANGLING
-            raise
-        self.phase = ReceiverPhase.DONE
+        self._unlock_goods(msg.randomizer)
         return None
 
 
@@ -436,23 +460,8 @@ class ArbiterService:
 
     def on_recovery_request(self, msg: RecoveryRequest, requester: str
                             ) -> tuple[RecoveredReceiptKey, RecoveredGoodsKey]:
-        if not verify_recoverable_cert(msg.recovery_cert, self.identity.keys.public):
-            raise Reject("bad-recovery-cert")
-        counter_pub = self.registry.get(msg.counterparty)
-        if counter_pub is None:
-            raise Reject("unknown-counterparty")
-        if msg.recovery_cert.pub.e != counter_pub.e:
-            raise Reject("exponent-mismatch")
-        if not verify_auth_token(msg.auth_token, counter_pub, msg.recovery_cert,
-                                 msg.enc_randomizer, msg.sender_enc_randomizer,
-                                 requester):
-            raise Reject("bad-token")
-        requester_pub = self.registry.get(requester)
-        if requester_pub is None:
-            raise Reject("unknown-requester")
-        if mod_pow(msg.sender_randomizer, requester_pub.e,
-                   requester_pub.n) != msg.sender_enc_randomizer:
-            raise Reject("bad-sender-randomizer")
+        check_recovery_request(msg, requester, self.identity.keys.public,
+                               self.registry)
         recovery_exp = recover_private_exponent(self.identity, msg.recovery_cert)
         randomizer = recover_randomizer(msg.enc_randomizer, recovery_exp,
                                         msg.recovery_cert.pub.n)

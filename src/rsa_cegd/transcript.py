@@ -29,21 +29,17 @@ strings in plain hex):
             {"type":"verdict","verdict":"UNFAIR_FOR_A",
              "goods_hash":hex,"eoo_holder":id}
 
-Message field order follows the wire layout of each step:
-
-  E1: ciphertext, cert{description, ciphertext_hash, goods_hash, enc_key,
-      signature}, blinded_key, origin_proof
-  E2: blinded_receipt, control, enc_randomizer, auth_token,
-      recovery_cert{e, n, masked_exponent, signature}
-  E3/E4/R2/R3: randomizer
-  R1: recovery_cert, enc_randomizer, auth_token, sender_enc_randomizer,
-      sender_randomizer, counterparty (routing metadata, unsigned)
+The "fields" of a message follow the wire layout of its step, in wire
+order; BODIES holds one (encode, decode) pair per step, built from those
+layouts, and is the only code that maps message bodies to fields and back.
 
 Identical runs serialize to byte-identical files: nothing time- or
 environment-dependent is recorded.
 """
 
 import json
+from operator import attrgetter
+from typing import get_type_hints
 
 from .credentials import GoodsCertificate, RecoverableCert
 from .crypto import PublicKey, hex_to_int, int_to_hex
@@ -58,73 +54,76 @@ from .protocol import (
 )
 
 
-def _goods_cert_fields(cert: GoodsCertificate) -> dict:
-    return {
-        "description": cert.description.hex(),
-        "ciphertext_hash": int_to_hex(cert.ciphertext_hash),
-        "goods_hash": int_to_hex(cert.goods_hash),
-        "enc_key": int_to_hex(cert.enc_key),
-        "signature": int_to_hex(cert.signature),
-    }
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"party name must be a string, not {type(value).__name__}")
+    return value
 
 
-def goods_cert_from_fields(fields: dict) -> GoodsCertificate:
-    return GoodsCertificate(
-        description=bytes.fromhex(fields["description"]),
-        ciphertext_hash=hex_to_int(fields["ciphertext_hash"]),
-        goods_hash=hex_to_int(fields["goods_hash"]),
-        enc_key=hex_to_int(fields["enc_key"]),
-        signature=hex_to_int(fields["signature"]),
-    )
+# Field kinds: (encode, decode) of one wire value; a codec is one too.
+_HEX_INT = (int_to_hex, hex_to_int)
+_HEX_BYTES = (bytes.hex, bytes.fromhex)
+_NAME = (str, _name)
 
 
-def _recovery_cert_fields(cert: RecoverableCert) -> dict:
-    return {
-        "e": int_to_hex(cert.pub.e),
-        "n": int_to_hex(cert.pub.n),
-        "masked_exponent": int_to_hex(cert.masked_exponent),
-        "signature": int_to_hex(cert.signature),
-    }
+def _codec(cls, layout):
+    """(encode, decode) between `cls` and its wire fields. `layout` lists
+    (wire name, kind[, "outer.attr"]) in wire order; the path names a field
+    of a nested dataclass that the wire flattens. Decoding fields of the
+    wrong shape raises KeyError, TypeError or ValueError."""
+    getters, flat, nested = [], [], {}
+    for name, (to_wire, from_wire), *path in layout:
+        path = path[0] if path else name
+        getters.append((name, to_wire, attrgetter(path)))
+        outer, _, attr = path.rpartition(".")
+        (nested.setdefault(outer, []) if outer else flat).append((name, from_wire, attr))
+    types = get_type_hints(cls)
+
+    def encode(obj) -> dict:
+        return {name: to_wire(get(obj)) for name, to_wire, get in getters}
+
+    def decode(fields: dict):
+        values = {attr: from_wire(fields[name]) for name, from_wire, attr in flat}
+        for outer, group in nested.items():
+            values[outer] = types[outer](
+                **{attr: from_wire(fields[name]) for name, from_wire, attr in group})
+        return cls(**values)
+
+    return encode, decode
 
 
-def recovery_cert_from_fields(fields: dict) -> RecoverableCert:
-    return RecoverableCert(
-        pub=PublicKey(hex_to_int(fields["e"]), hex_to_int(fields["n"])),
-        masked_exponent=hex_to_int(fields["masked_exponent"]),
-        signature=hex_to_int(fields["signature"]),
-    )
+_GOODS_CERT = _codec(GoodsCertificate, [
+    ("description", _HEX_BYTES), ("ciphertext_hash", _HEX_INT),
+    ("goods_hash", _HEX_INT), ("enc_key", _HEX_INT), ("signature", _HEX_INT)])
+_RECOVERY_CERT = _codec(RecoverableCert, [
+    ("e", _HEX_INT, "pub.e"), ("n", _HEX_INT, "pub.n"),
+    ("masked_exponent", _HEX_INT), ("signature", _HEX_INT)])
+_RANDOMIZER = [("randomizer", _HEX_INT)]
+key_fields, key_from_fields = _codec(PublicKey, [("e", _HEX_INT), ("n", _HEX_INT)])
+
+# Step tag -> (encode, decode) of its message body.
+BODIES = {cls.STEP: _codec(cls, layout) for cls, layout in [
+    (GoodsOffer, [("ciphertext", _HEX_BYTES), ("cert", _GOODS_CERT),
+                  ("blinded_key", _HEX_INT), ("origin_proof", _HEX_INT)]),
+    (EncryptedReceipt, [
+        ("blinded_receipt", _HEX_INT, "vres.blinded_receipt"),
+        ("control", _HEX_INT, "vres.control"),
+        ("enc_randomizer", _HEX_INT, "vres.enc_randomizer"),
+        ("auth_token", _HEX_INT), ("recovery_cert", _RECOVERY_CERT)]),
+    (KeyRelease, _RANDOMIZER),
+    (ReceiptRelease, _RANDOMIZER),
+    (RecoveryRequest, [
+        ("recovery_cert", _RECOVERY_CERT), ("enc_randomizer", _HEX_INT),
+        ("auth_token", _HEX_INT), ("sender_enc_randomizer", _HEX_INT),
+        ("sender_randomizer", _HEX_INT), ("counterparty", _NAME)]),
+    (RecoveredReceiptKey, _RANDOMIZER),
+    (RecoveredGoodsKey, _RANDOMIZER),
+]}
 
 
-def body_fields(body) -> dict:
-    """Serialize a message body, preserving wire field order."""
-    if isinstance(body, GoodsOffer):
-        return {
-            "ciphertext": body.ciphertext.hex(),
-            "cert": _goods_cert_fields(body.cert),
-            "blinded_key": int_to_hex(body.blinded_key),
-            "origin_proof": int_to_hex(body.origin_proof),
-        }
-    if isinstance(body, EncryptedReceipt):
-        return {
-            "blinded_receipt": int_to_hex(body.vres.blinded_receipt),
-            "control": int_to_hex(body.vres.control),
-            "enc_randomizer": int_to_hex(body.vres.enc_randomizer),
-            "auth_token": int_to_hex(body.auth_token),
-            "recovery_cert": _recovery_cert_fields(body.recovery_cert),
-        }
-    if isinstance(body, (KeyRelease, ReceiptRelease,
-                         RecoveredReceiptKey, RecoveredGoodsKey)):
-        return {"randomizer": int_to_hex(body.randomizer)}
-    if isinstance(body, RecoveryRequest):
-        return {
-            "recovery_cert": _recovery_cert_fields(body.recovery_cert),
-            "enc_randomizer": int_to_hex(body.enc_randomizer),
-            "auth_token": int_to_hex(body.auth_token),
-            "sender_enc_randomizer": int_to_hex(body.sender_enc_randomizer),
-            "sender_randomizer": int_to_hex(body.sender_randomizer),
-            "counterparty": body.counterparty,
-        }
-    raise TypeError(f"unknown message body {type(body).__name__}")
+def decode_body(step: str, fields: dict):
+    """The message body a record's fields encode, for a known step tag."""
+    return BODIES[step][1](fields)
 
 
 def message_record(body, sender: str, recipient: str, session: int) -> dict:
@@ -134,7 +133,7 @@ def message_record(body, sender: str, recipient: str, session: int) -> dict:
         "session": session,
         "sender": sender,
         "recipient": recipient,
-        "fields": body_fields(body),
+        "fields": BODIES[body.STEP][0](body),
     }
 
 

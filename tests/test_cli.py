@@ -61,13 +61,19 @@ def list_registry(rows):
     rows[0]["registry"] = []
 
 
+def second_header(rows):
+    rows.insert(1, dict(rows[0]))
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (drop_receipts, "FAIL: malformed evidence for buyer: 'receipts'"),
     (drop_party, "FAIL: record 16: evidence without a party name"),
     (non_hex_receipt, "FAIL: malformed evidence for seller: invalid literal"),
     (list_record, "FAIL: record 4 is not a JSON object"),
     (list_registry, "FAIL: malformed header: 'list' object has no attribute 'items'"),
-], ids=["no-receipts", "no-party", "non-hex-value", "list-record", "list-registry"])
+    (second_header, "FAIL: record 2: duplicate header record"),
+], ids=["no-receipts", "no-party", "non-hex-value", "list-record", "list-registry",
+        "second-header"])
 def test_verify_malformed_record_fails(tmp_path, capsys, corrupt, expected):
     # A malformed record is a problem line and exit 1, never a traceback.
     path = tmp_path / "replay.jsonl"
