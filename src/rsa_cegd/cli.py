@@ -62,10 +62,9 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
 
 def _cmd_run(parser, args) -> int:
     seed = _resolve_seed(parser, args.seed)
-    config = RunConfig(mode=args.mode, bits=args.bits, exponent=args.exponent,
-                       seed=seed, goods_size=args.goods_size)
     try:
-        config.validate()
+        config = RunConfig(mode=args.mode, bits=args.bits, exponent=args.exponent,
+                           seed=seed, goods_size=args.goods_size)
     except ValueError as exc:
         parser.error(str(exc))
     try:

@@ -1,6 +1,6 @@
 """Deterministic in-memory simulation of the exchange and its breaks.
 
-Three scripted scenarios share one world-building path:
+Three scripted scenarios share one world builder and one exchange driver:
 
   run_honest         one complete E1..E4 session; ends FAIR.
   run_replay_attack  the seller runs a session up to E2, goes quiet while
@@ -86,6 +86,9 @@ class RunConfig:
     seed: int = 0
     goods_size: int = 64
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -167,8 +170,7 @@ class AttackReport:
                                        self.verdict.to_record())
 
 
-def build_world(config: RunConfig, include_outsider: bool = False) -> World:
-    config.validate()
+def build_world(config: RunConfig) -> World:
     seed = config.seed
 
     def keypair(label: str) -> RsaKeyPair:
@@ -177,7 +179,7 @@ def build_world(config: RunConfig, include_outsider: bool = False) -> World:
 
     ca = CaIdentity(CERT_AUTHORITY, keypair("ca"))
     arbiter = TtpIdentity(ARBITER, keypair("arbiter"))
-    party_ids = [SELLER, BUYER] + ([OUTSIDER] if include_outsider else [])
+    party_ids = [SELLER, BUYER] + ([OUTSIDER] if config.mode == "eoo-forward" else [])
     keyrings = {pid: PartyKeyring(pid, keypair(f"party-{pid}")) for pid in party_ids}
     registry = {pid: ring.keys.public for pid, ring in keyrings.items()}
     buyer_cert, buyer_recovery = issue_recoverable_cert(
@@ -250,8 +252,10 @@ def evaluate_fairness(world: World) -> FairnessVerdict:
     return verdict_from_snapshot(snapshots)
 
 
-def _report(world: World, verdict: FairnessVerdict) -> AttackReport:
+def _report(world: World, expected: str) -> AttackReport:
     evidence = {party: ledger.snapshot() for party, ledger in world.ledgers.items()}
+    verdict = verdict_from_snapshot(evidence)
+    _expect(verdict.status == expected, f"verdict {verdict.status}")
     return AttackReport(world.header(), world.records, evidence, verdict)
 
 
@@ -260,30 +264,40 @@ def _expect(condition: bool, what: str) -> None:
         raise ScriptError(f"scripted run deviated: {what}")
 
 
-def run_honest(config: RunConfig) -> AttackReport:
-    """One complete exchange; both ledgers end up holding their item."""
-    world = build_world(config)
-    sender, receiver = make_sessions(world, 1)
-    goods, description = session_goods(config, 1)
-
+def _exchange(world: World, session: int, abort: bool = False) -> tuple:
+    """Logged E1, E2, then the seller's abort or E3, E4 -> (sender, receiver, offer)."""
+    sender, receiver = make_sessions(world, session)
+    # Held to the end: freeing 1 MiB of goods right after E1 raised peak RSS.
+    goods, description = session_goods(world.config, session)
     offer = sender.start(goods, description)
-    world.log_message(offer, SELLER, BUYER, 1)
+    world.log_message(offer, SELLER, BUYER, session)
     enc_receipt = receiver.on_goods_offer(offer)
-    world.log_message(enc_receipt, BUYER, SELLER, 1)
+    world.log_message(enc_receipt, BUYER, SELLER, session)
+    if abort:
+        _expect(sender.on_encrypted_receipt(enc_receipt, abort=True) is None,
+                "abort emitted a message")
+        world.log_milestone("abort-after-E2", session)
+        return sender, receiver, offer
     key_release = sender.on_encrypted_receipt(enc_receipt)
     _expect(key_release is not None, "sender withheld the key release")
-    world.log_message(key_release, SELLER, BUYER, 1)
+    world.log_message(key_release, SELLER, BUYER, session)
     receipt_release = receiver.on_key_release(key_release)
     _expect(receipt_release is not None, "receiver withheld the receipt release")
-    world.log_message(receipt_release, BUYER, SELLER, 1)
+    world.log_message(receipt_release, BUYER, SELLER, session)
     sender.on_receipt_release(receipt_release)
-    world.log_milestone("exchange-completed", 1)
-
+    world.log_milestone("exchange-completed", session)
     goods_hash = offer.cert.goods_hash
     _expect(goods_hash in world.ledgers[BUYER].goods, "buyer ledger missing goods")
     _expect((BUYER, goods_hash) in world.ledgers[SELLER].receipts,
             "seller ledger missing receipt")
-    return _report(world, evaluate_fairness(world))
+    return sender, receiver, offer
+
+
+def run_honest(config: RunConfig) -> AttackReport:
+    """One complete exchange; both ledgers end up holding their item."""
+    world = build_world(config)
+    _exchange(world, 1)
+    return _report(world, FAIR)
 
 
 def run_replay_attack(config: RunConfig) -> AttackReport:
@@ -294,28 +308,12 @@ def run_replay_attack(config: RunConfig) -> AttackReport:
     arbiter = ArbiterService(world.arbiter, world.registry)
 
     # Session 1: stop after verifying E2, keeping the recovery material.
-    sender1, receiver1 = make_sessions(world, 1)
-    goods1, description1 = session_goods(config, 1)
-    offer1 = sender1.start(goods1, description1)
-    world.log_message(offer1, SELLER, BUYER, 1)
-    enc_receipt1 = receiver1.on_goods_offer(offer1)
-    world.log_message(enc_receipt1, BUYER, SELLER, 1)
-    _expect(sender1.on_encrypted_receipt(enc_receipt1, abort=True) is None,
-            "abort emitted a message")
-    world.log_milestone("abort-after-E2", 1)
+    sender1, _, offer1 = _exchange(world, 1, abort=True)
     stale_request = sender1.recovery_request()
     world.log_milestone("recovery-material-stored", 1)
 
     # Session 2: same counterparties, different goods, same abort.
-    sender2, receiver2 = make_sessions(world, 2)
-    goods2, description2 = session_goods(config, 2)
-    offer2 = sender2.start(goods2, description2)
-    world.log_message(offer2, SELLER, BUYER, 2)
-    enc_receipt2 = receiver2.on_goods_offer(offer2)
-    world.log_message(enc_receipt2, BUYER, SELLER, 2)
-    _expect(sender2.on_encrypted_receipt(enc_receipt2, abort=True) is None,
-            "abort emitted a message")
-    world.log_milestone("abort-after-E2", 2)
+    _, receiver2, _ = _exchange(world, 2, abort=True)
 
     # Recovery invoked during session 2 with session 1's tuple.
     world.log_message(stale_request, SELLER, ARBITER, 2)
@@ -323,8 +321,7 @@ def run_replay_attack(config: RunConfig) -> AttackReport:
     world.log_milestone("stale-R1-accepted", 2)
     world.log_message(receipt_key, ARBITER, SELLER, 2)
     sender1.on_recovered_randomizer(receipt_key)
-    goods_hash1 = offer1.cert.goods_hash
-    _expect((BUYER, goods_hash1) in world.ledgers[SELLER].receipts,
+    _expect((BUYER, offer1.cert.goods_hash) in world.ledgers[SELLER].receipts,
             "seller failed to recover the stale receipt")
     world.log_milestone("stale-receipt-recovered", 2)
 
@@ -345,10 +342,7 @@ def run_replay_attack(config: RunConfig) -> AttackReport:
     except Reject:
         raise ScriptError("stale randomizer should open session 1's goods")
     world.log_milestone("stale-key-opens-prior-session", 2)
-
-    verdict = evaluate_fairness(world)
-    _expect(verdict.status == UNFAIR_FOR_B, f"verdict {verdict.status}")
-    return _report(world, verdict)
+    return _report(world, UNFAIR_FOR_B)
 
 
 def run_eoo_forward(config: RunConfig) -> AttackReport:
@@ -356,23 +350,9 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
     outsider off the wire. The proof names no receiver, so the outsider's
     copy verifies bit-identically while the seller holds no receipt from
     the outsider."""
-    world = build_world(config, include_outsider=True)
-    sender, receiver = make_sessions(world, 1)
-    goods, description = session_goods(config, 1)
-
-    offer = sender.start(goods, description)
-    world.log_message(offer, SELLER, BUYER, 1)
-    enc_receipt = receiver.on_goods_offer(offer)
-    world.log_message(enc_receipt, BUYER, SELLER, 1)
-    key_release = sender.on_encrypted_receipt(enc_receipt)
-    world.log_message(key_release, SELLER, BUYER, 1)
-    receipt_release = receiver.on_key_release(key_release)
-    world.log_message(receipt_release, BUYER, SELLER, 1)
-    sender.on_receipt_release(receipt_release)
-    world.log_milestone("exchange-completed", 1)
-
-    pre_verdict = evaluate_fairness(world)
-    _expect(pre_verdict.status == FAIR, "world unfair before the forward")
+    world = build_world(config)
+    _, _, offer = _exchange(world, 1)
+    _expect(evaluate_fairness(world).status == FAIR, "world unfair before the forward")
 
     goods_hash = offer.cert.goods_hash
     buyer_ledger = world.ledgers[BUYER]
@@ -381,10 +361,7 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
     outsider_ledger.record_goods(buyer_ledger.goods[goods_hash], goods_hash)
     outsider_ledger.record_origin_proof(proof, world.registry[SELLER])
     world.log_milestone("eoo-forwarded-out-of-band", 1)
-
-    verdict = evaluate_fairness(world)
-    _expect(verdict.status == UNFAIR_FOR_A, f"verdict {verdict.status}")
-    return _report(world, verdict)
+    return _report(world, UNFAIR_FOR_A)
 
 
 RUNNERS = {
@@ -395,7 +372,6 @@ RUNNERS = {
 
 
 def run_mode(config: RunConfig) -> AttackReport:
-    config.validate()
     return RUNNERS[config.mode](config)
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import toy_config
+from rsa_cegd import harness
 from rsa_cegd.harness import (
     BUYER,
     FAIR,
@@ -14,6 +15,7 @@ from rsa_cegd.harness import (
     UNFAIR_FOR_B,
     FairnessVerdict,
     RunConfig,
+    ScriptError,
     run_eoo_forward,
     run_honest,
     run_mode,
@@ -94,6 +96,22 @@ def test_run_mode_dispatch():
     assert report.verdict.status == UNFAIR_FOR_B
     with pytest.raises(ValueError):
         run_mode(RunConfig(mode="nope", bits=32, exponent=3, seed=1))
+
+
+def test_run_honest_checks_its_verdict(monkeypatch):
+    monkeypatch.setattr(harness, "verdict_from_snapshot", lambda snapshots: FairnessVerdict(
+        UNFAIR_FOR_B, goods_hash=1, receipt_holder=SELLER))
+    with pytest.raises(ScriptError, match="verdict UNFAIR_FOR_B"):
+        run_honest(toy_config(seed=3))
+
+
+@pytest.mark.parametrize("overrides", [dict(mode="nope"), dict(bits=8)],
+                         ids=["mode", "bits"])
+def test_config_validated_at_construction(overrides):
+    params = dict(mode="honest", bits=32, exponent=3, seed=0)
+    params.update(overrides)
+    with pytest.raises(ValueError):
+        RunConfig(**params)
 
 
 def test_config_validation():
