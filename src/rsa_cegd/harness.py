@@ -96,6 +96,8 @@ class RunConfig:
             raise ValueError("bits must be >= 16")
         if self.exponent < 3 or self.exponent % 2 == 0:
             raise ValueError("exponent must be odd and >= 3")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.goods_size < 1:
             raise ValueError("goods_size must be positive")
 

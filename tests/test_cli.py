@@ -94,7 +94,7 @@ def test_verify_non_utf8_file_fails(tmp_path, capsys):
     assert "cannot read transcript" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--mode", "bogus", "--seed", "1",
               "--out", str(tmp_path / "x.jsonl")])
@@ -103,6 +103,15 @@ def test_usage_errors_exit_2(tmp_path):
         main(["run", "--mode", "honest", "--bits", "8", "--seed", "1",
               "--out", str(tmp_path / "x.jsonl")])
     assert err.value.code == 2
+    # A negative seed, from the flag or the variable, has no canonical encoding.
+    monkeypatch.setenv("CEGD_SEED", "-1")
+    for seed_args in (["--seed", "-1"], []):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--mode", "honest", *TOY, *seed_args,
+                  "--out", str(tmp_path / "x.jsonl")])
+        assert err.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

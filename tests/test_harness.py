@@ -105,8 +105,8 @@ def test_run_honest_checks_its_verdict(monkeypatch):
         run_honest(toy_config(seed=3))
 
 
-@pytest.mark.parametrize("overrides", [dict(mode="nope"), dict(bits=8)],
-                         ids=["mode", "bits"])
+@pytest.mark.parametrize("overrides", [dict(mode="nope"), dict(bits=8), dict(seed=-1)],
+                         ids=["mode", "bits", "seed"])
 def test_config_validated_at_construction(overrides):
     params = dict(mode="honest", bits=32, exponent=3, seed=0)
     params.update(overrides)
