@@ -378,12 +378,14 @@ def run_mode(config: RunConfig) -> AttackReport:
 
 
 # ---------------------------------------------------------------------------
-# Transcript verification: run each message's step check from protocol
-# against the session's logged E1, E2 and R1, re-check the evidence, and
-# recompute the verdict. Message problems read "session <sid> <step>: <code>"
-# with the handlers' codes plus misrouted (a route that does not fit the
-# session, or an unregistered party), missing-E1/-E2/-R1, residue-mismatch
-# (R2), forward-mismatch (R3) and unknown-step. A message that depends on an
+# Transcript verification: check the header's fields against each other and
+# the record order, run each message's step check from protocol against the
+# session's logged E1, E2 and R1, re-check one evidence row per registered
+# party, and recompute the verdict. Message problems read
+# "session <sid> <step>: <code>" with the handlers' codes plus misrouted (a
+# route that does not fit the session, or an unregistered party),
+# goods-size-mismatch (E1), missing-E1/-E2/-R1, residue-mismatch (R2),
+# forward-mismatch (R3) and unknown-step. A message that depends on an
 # E1, E2 or R1 that failed is not checked, so each fault is reported once.
 # R2 and R3 are checked as the arbiter's output, not with the parties' own
 # checks: the buyer's rejection of a stale R3 is the recorded attack.
@@ -408,14 +410,18 @@ def verify_report(rows: list[dict]) -> list[str]:
                     for pid, entry in header["registry"].items()}
         ca_pub = transcript.key_from_fields(header["ca"])
         arbiter = (header["arbiter"]["id"], transcript.key_from_fields(header["arbiter"]))
+        exponent = hex_to_int(header["exponent"])
     except (*_MALFORMED, AttributeError) as exc:  # registry not an object
         return [f"malformed header: {exc}"]
+    _check_header(header, exponent,
+                  [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter[1])], problems)
 
     # (session, step) -> None until the message passes its check, then
     # (row, what later steps use: the decoded E2 or R1; for E1 its goods hash
     # and the sender's encrypted randomizer, not the bulky ciphertext).
     logged: dict[tuple, tuple | None] = {}
     evidence_rows: dict[str, dict] = {}
+    evidence_seen = False
     verdict_row = None
 
     for number, row in enumerate(rows[1:], start=2):
@@ -423,9 +429,14 @@ def verify_report(rows: list[dict]) -> list[str]:
             problems.append(f"record {number} is not a JSON object")
             continue
         kind = row.get("type")
+        if verdict_row is not None and kind != "verdict":
+            problems.append(f"record {number}: record after the verdict")
+        elif evidence_seen and kind in ("message", "milestone"):
+            problems.append(f"record {number}: {kind} record after the evidence")
         if kind == "message":
             try:
-                _check_message(row, logged, registry, ca_pub, arbiter)
+                _check_message(row, logged, registry, ca_pub, arbiter,
+                               header.get("goods_size"))
             except Reject as rej:
                 problems.append(f"session {row['session']} {row['step']}: {rej.reason}")
             except _Unchecked:
@@ -433,21 +444,32 @@ def verify_report(rows: list[dict]) -> list[str]:
             except _MALFORMED as exc:
                 problems.append(f"malformed {row.get('step')} record: {exc}")
         elif kind == "evidence":
+            evidence_seen = True
             party = row.get("party")
-            if isinstance(party, str):
-                evidence_rows[party] = row
-            else:
+            if not isinstance(party, str):
                 problems.append(f"record {number}: evidence without a party name")
+            elif party not in registry:
+                problems.append(f"record {number}: evidence for unknown party {party!r}")
+            elif party in evidence_rows:
+                problems.append(f"record {number}: duplicate evidence for {party}")
+            else:
+                evidence_rows[party] = row
         elif kind == "verdict":
-            verdict_row = row
+            if verdict_row is None:
+                verdict_row = row
+            else:
+                problems.append(f"record {number}: second verdict record")
         elif kind == "header":
             problems.append(f"record {number}: duplicate header record")
         elif kind != "milestone":
             problems.append(f"unknown record type {kind!r}")
 
-    for party, row in sorted(evidence_rows.items()):
+    for party in sorted(registry):
+        if party not in evidence_rows:
+            problems.append(f"missing evidence for {party}")
+            continue
         try:
-            _check_evidence(row, registry, problems)
+            _check_evidence(evidence_rows[party], registry, problems)
         except _MALFORMED as exc:
             problems.append(f"malformed evidence for {party}: {exc}")
 
@@ -465,6 +487,23 @@ def verify_report(rows: list[dict]) -> list[str]:
     return problems
 
 
+def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) -> None:
+    """The header's own fields against each other; `keys` holds a (name, key)
+    pair per public key the header lists. The seed cannot be checked without
+    a re-run."""
+    if header.get("format") != 1:
+        problems.append(f"header: unsupported format {header.get('format')!r}")
+    if header.get("mode") not in MODES:
+        problems.append(f"header: unknown mode {header.get('mode')!r}")
+    if header.get("parties") != sorted(header["registry"]):
+        problems.append("header: parties do not match the registry")
+    for name, pub in keys:
+        if pub.e != exponent:
+            problems.append(f"header: {name} key exponent is not the header's exponent")
+        if pub.n.bit_length() != header.get("bits"):
+            problems.append(f"header: {name} key modulus is not {header.get('bits')!r} bits")
+
+
 def _route(row: dict) -> tuple:
     return row.get("sender"), row.get("recipient")
 
@@ -474,7 +513,8 @@ def _expect_route(row: dict, route: tuple) -> None:
         raise Reject("misrouted")
 
 
-def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple) -> None:
+def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
+                   goods_size) -> None:
     step, sid = row["step"], row["session"]
     if step not in transcript.BODIES:
         raise Reject("unknown-step")
@@ -496,6 +536,8 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple) ->
         if sender not in registry or recipient not in registry or sender == recipient:
             raise Reject("misrouted")
         kept = (body.cert.goods_hash, check_offer(body, ca_pub, registry[sender]))
+        if len(body.ciphertext) != goods_size:
+            raise Reject("goods-size-mismatch")
     elif step == "E2":
         offer_row, (goods_hash, sender_enc_randomizer) = prior("E1")
         _expect_route(row, _route(offer_row)[::-1])

@@ -65,6 +65,36 @@ def second_header(rows):
     rows.insert(1, dict(rows[0]))
 
 
+def second_verdict(rows):
+    rows.insert(-1, {"type": "verdict", "verdict": "FAIR"})
+
+
+def bad_row_before_genuine(rows):
+    # Were the last row kept, the bad one would never be checked.
+    index = next(i for i, r in enumerate(rows) if r.get("party") == "seller")
+    bad = json.loads(json.dumps(rows[index]))
+    value = bad["receipts"][0]["value"]
+    bad["receipts"][0]["value"] = ("1" if value[0] != "1" else "2") + value[1:]
+    rows.insert(index, bad)
+
+
+def unknown_party(rows):
+    index = next(i for i, r in enumerate(rows) if r["type"] == "evidence")
+    rows.insert(index, {**rows[index], "party": "mallory"})
+
+
+def record_after_verdict(rows):
+    rows.append(next(r for r in rows if r.get("step") == "E1"))
+
+
+def milestone_after_evidence(rows):
+    rows.insert(-1, next(r for r in rows if r["type"] == "milestone"))
+
+
+def drop_buyer_evidence(rows):
+    rows.remove(next(r for r in rows if r.get("party") == "buyer"))
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (drop_receipts, "FAIL: malformed evidence for buyer: 'receipts'"),
     (drop_party, "FAIL: record 16: evidence without a party name"),
@@ -72,8 +102,16 @@ def second_header(rows):
     (list_record, "FAIL: record 4 is not a JSON object"),
     (list_registry, "FAIL: malformed header: 'list' object has no attribute 'items'"),
     (second_header, "FAIL: record 2: duplicate header record"),
+    (second_verdict, "FAIL: record 19: second verdict record"),
+    (bad_row_before_genuine, "FAIL: record 18: duplicate evidence for seller\n"
+                             "FAIL: evidence for seller: receipt does not verify"),
+    (unknown_party, "FAIL: record 16: evidence for unknown party 'mallory'"),
+    (record_after_verdict, "FAIL: record 19: record after the verdict"),
+    (milestone_after_evidence, "FAIL: record 18: milestone record after the evidence"),
+    (drop_buyer_evidence, "FAIL: missing evidence for buyer"),
 ], ids=["no-receipts", "no-party", "non-hex-value", "list-record", "list-registry",
-        "second-header"])
+        "second-header", "second-verdict", "duplicate-evidence", "unknown-party",
+        "after-verdict", "after-evidence", "missing-evidence"])
 def test_verify_malformed_record_fails(tmp_path, capsys, corrupt, expected):
     # A malformed record is a problem line and exit 1, never a traceback.
     path = tmp_path / "replay.jsonl"

@@ -216,6 +216,38 @@ def test_misrouted_message_is_a_problem(mode, value):
             assert verify_report(rows) == [expected], f"{key} = {value!r}"
 
 
+# --- the header's fields -----------------------------------------------------------
+
+_HEADER_EDITS = [
+    (("format",), 2, "header: unsupported format 2"),
+    (("format",), "delete", "header: unsupported format None"),
+    (("mode",), "nope", "header: unknown mode 'nope'"),
+    (("parties",), ["buyer"], "header: parties do not match the registry"),
+    (("exponent",), "3", "header: seller key exponent is not the header's exponent"),
+    (("exponent",), "delete", "malformed header: 'exponent'"),
+    (("bits",), 63, "header: arbiter key modulus is not 63 bits"),
+    (("registry", "buyer", "e"), "3", "header: buyer key exponent is not the header's exponent"),
+    (("ca", "n"), lambda n: n[1:], "header: ca key modulus is not 64 bits"),
+    (("arbiter", "e"), "3", "header: arbiter key exponent is not the header's exponent"),
+    (("goods_size",), 63, "session 2 E1: goods-size-mismatch"),
+    (("goods_size",), "zz", "session 1 E1: goods-size-mismatch"),
+]
+
+
+@pytest.mark.parametrize("path, value, expected", _HEADER_EDITS,
+                         ids=[f"{'.'.join(c[0])}-{i}" for i, c in enumerate(_HEADER_EDITS)])
+def test_header_edit_is_a_problem(path, value, expected):
+    rows = _rows("replay")
+    node = rows[0]
+    for key in path[:-1]:
+        node = node[key]
+    if value == "delete":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+    assert expected in verify_report(rows)
+
+
 # --- fuzz: the verifier never raises ----------------------------------------------
 
 _BAD_VALUES = [[], {}, 5, "zz", None]
