@@ -577,6 +577,9 @@ def _check_evidence(row: dict, registry, problems: list[str]) -> None:
     def flag(what: str) -> None:
         problems.append(f"evidence for {party}: {what}")
 
+    for key in ("goods", "receipts", "origin_proofs"):
+        if not isinstance(row[key], list):
+            raise TypeError(f"{key} is not a list")
     for entry in row["goods"]:
         payload = bytes.fromhex(entry["payload"])
         if hash_goods(payload) != hex_to_int(entry["goods_hash"]):
