@@ -193,7 +193,7 @@ def build_world(config: RunConfig) -> World:
         keyrings=keyrings,
         registry=registry,
         recovery_certs={BUYER: (buyer_cert, buyer_recovery)},
-        ledgers={pid: EvidenceLedger(pid) for pid in party_ids},
+        ledgers={pid: EvidenceLedger() for pid in party_ids},
     )
 
 
@@ -249,13 +249,18 @@ def verdict_from_snapshot(snapshots: dict[str, dict]) -> FairnessVerdict:
     return FairnessVerdict(FAIR)
 
 
+def _evidence(world: World) -> dict[str, dict]:
+    """Party -> the evidence row of its ledger."""
+    return {party: transcript.evidence_record(party, ledger)
+            for party, ledger in world.ledgers.items()}
+
+
 def evaluate_fairness(world: World) -> FairnessVerdict:
-    snapshots = {party: ledger.snapshot() for party, ledger in world.ledgers.items()}
-    return verdict_from_snapshot(snapshots)
+    return verdict_from_snapshot(_evidence(world))
 
 
 def _report(world: World, expected: str) -> AttackReport:
-    evidence = {party: ledger.snapshot() for party, ledger in world.ledgers.items()}
+    evidence = _evidence(world)
     verdict = verdict_from_snapshot(evidence)
     _expect(verdict.status == expected, f"verdict {verdict.status}")
     return AttackReport(world.header(), world.records, evidence, verdict)
@@ -358,10 +363,12 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
 
     goods_hash = offer.cert.goods_hash
     buyer_ledger = world.ledgers[BUYER]
-    proof = buyer_ledger.origin_proofs[(SELLER, goods_hash)]
+    proof = buyer_ledger.origin_proofs[SELLER, goods_hash]
+    _expect(verify_origin_proof(proof.value, goods_hash, world.registry[SELLER]),
+            "forwarded origin proof does not verify")
     outsider_ledger = world.ledgers[OUTSIDER]
-    outsider_ledger.record_goods(buyer_ledger.goods[goods_hash], goods_hash)
-    outsider_ledger.record_origin_proof(proof, world.registry[SELLER])
+    outsider_ledger.goods[goods_hash] = buyer_ledger.goods[goods_hash]
+    outsider_ledger.origin_proofs[SELLER, goods_hash] = proof
     world.log_milestone("eoo-forwarded-out-of-band", 1)
     return _report(world, UNFAIR_FOR_A)
 
@@ -417,8 +424,8 @@ def verify_report(rows: list[dict]) -> list[str]:
                   [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter[1])], problems)
 
     # (session, step) -> None until the message passes its check, then
-    # (row, what later steps use: the decoded E2 or R1; for E1 its goods hash
-    # and the sender's encrypted randomizer, not the bulky ciphertext).
+    # (row, decoded body, derived): derived is E1's sender encrypted
+    # randomizer and None for the other steps.
     logged: dict[tuple, tuple | None] = {}
     evidence_rows: dict[str, dict] = {}
     evidence_seen = False
@@ -519,9 +526,10 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
     if step not in transcript.BODIES:
         raise Reject("unknown-step")
     logged[sid, step] = None
-    body = kept = transcript.decode_body(step, row["fields"])
+    body = transcript.decode_body(step, row["fields"])
     sender, recipient = _route(row)
     arbiter_id, arbiter_pub = arbiter
+    derived = None
 
     def prior(tag: str) -> tuple:
         if (sid, tag) not in logged:
@@ -535,30 +543,29 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
     if step == "E1":
         if sender not in registry or recipient not in registry or sender == recipient:
             raise Reject("misrouted")
-        kept = (body.cert.goods_hash, check_offer(body, ca_pub, registry[sender]))
+        derived = check_offer(body, ca_pub, registry[sender])
         if len(body.ciphertext) != goods_size:
             raise Reject("goods-size-mismatch")
     elif step == "E2":
-        offer_row, (goods_hash, sender_enc_randomizer) = prior("E1")
+        offer_row, offer, sender_enc_randomizer = prior("E1")
         _expect_route(row, _route(offer_row)[::-1])
-        check_encrypted_receipt(body, goods_hash, registry[sender], arbiter_pub,
-                                sender_enc_randomizer, recipient)
+        check_encrypted_receipt(body, offer.cert.goods_hash, registry[sender],
+                                arbiter_pub, sender_enc_randomizer, recipient)
     elif step == "E3":
-        offer_row, _ = prior("E1")
+        offer_row, offer, _ = prior("E1")
         _expect_route(row, _route(offer_row))
-        open_goods(transcript.decode_body("E1", offer_row["fields"]), body.randomizer,
-                   registry[sender])
+        open_goods(offer, body.randomizer, registry[sender])
     elif step == "E4":
-        offer_row, (goods_hash, _) = prior("E1")
+        offer_row, offer, _ = prior("E1")
         _expect_route(row, _route(offer_row)[::-1])
-        open_receipt(prior("E2")[1], body.randomizer, registry[sender], goods_hash,
-                     sender)
+        open_receipt(prior("E2")[1], body.randomizer, registry[sender],
+                     offer.cert.goods_hash, sender)
     elif step == "R1":
         if recipient != arbiter_id:
             raise Reject("misrouted")
         check_recovery_request(body, sender, arbiter_pub, registry)
     else:
-        request_row, request = prior("R1")
+        request_row, request, _ = prior("R1")
         if step == "R2":
             _expect_route(row, (arbiter_id, request_row.get("sender")))
             pub = request.recovery_cert.pub
@@ -568,7 +575,7 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
             _expect_route(row, (arbiter_id, request.counterparty))
             if body.randomizer != request.sender_randomizer:
                 raise Reject("forward-mismatch")
-    logged[sid, step] = (row, kept)
+    logged[sid, step] = (row, body, derived)
 
 
 def _check_evidence(row: dict, registry, problems: list[str]) -> None:

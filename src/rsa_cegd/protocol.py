@@ -48,7 +48,6 @@ from .crypto import (
     NotInvertible,
     PublicKey,
     RsaKeyPair,
-    int_to_hex,
     mod_pow,
     random_prime_below,
     random_unit,
@@ -68,7 +67,6 @@ from .vres import (
     unwrap_key,
     verify_auth_token,
     verify_origin_proof,
-    verify_receipt,
     verify_vres,
     wrap_key,
 )
@@ -238,50 +236,17 @@ def check_recovery_request(msg: RecoveryRequest, requester: str,
 
 
 class EvidenceLedger:
-    """Per-party evidence holdings; every item is verified on insertion.
+    """Per-party evidence holdings, plain storage: only items that passed
+    their step's check (open_goods, open_receipt; the origin proof at
+    check_offer) enter a ledger.
 
     Goods are keyed by their hash; receipts and origin proofs by
     (counterparty, goods hash)."""
 
-    def __init__(self, owner: str):
-        self.owner = owner
+    def __init__(self):
         self.goods: dict[int, bytes] = {}
         self.receipts: dict[tuple[str, int], Receipt] = {}
         self.origin_proofs: dict[tuple[str, int], OriginProof] = {}
-
-    def record_goods(self, payload: bytes, goods_hash: int) -> None:
-        if hash_goods(payload) != goods_hash:
-            raise ValueError("payload does not match the claimed goods hash")
-        self.goods[goods_hash] = payload
-
-    def record_receipt(self, receipt: Receipt, signer_pub: PublicKey) -> None:
-        if not verify_receipt(receipt, signer_pub):
-            raise ValueError("receipt does not verify")
-        self.receipts[(receipt.signer, receipt.goods_hash)] = receipt
-
-    def record_origin_proof(self, proof: OriginProof, originator_pub: PublicKey) -> None:
-        if not verify_origin_proof(proof.value, proof.goods_hash, originator_pub):
-            raise ValueError("origin proof does not verify")
-        self.origin_proofs[(proof.originator, proof.goods_hash)] = proof
-
-    def snapshot(self) -> dict:
-        """JSON-ready view used by fairness evaluation and transcripts."""
-        return {
-            "goods": [
-                {"goods_hash": int_to_hex(h), "payload": payload.hex()}
-                for h, payload in sorted(self.goods.items())
-            ],
-            "receipts": [
-                {"signer": r.signer, "goods_hash": int_to_hex(r.goods_hash),
-                 "value": int_to_hex(r.value)}
-                for _, r in sorted(self.receipts.items())
-            ],
-            "origin_proofs": [
-                {"originator": p.originator, "goods_hash": int_to_hex(p.goods_hash),
-                 "value": int_to_hex(p.value)}
-                for _, p in sorted(self.origin_proofs.items())
-            ],
-        }
 
 
 def _dangle_on_reject(session, check, *args):
@@ -353,7 +318,7 @@ class SenderSession:
         counter_pub = self.registry[self.counterparty]
         receipt = _dangle_on_reject(self, open_receipt, self.enc_receipt, randomizer,
                                     counter_pub, self.goods_hash, self.counterparty)
-        self.ledger.record_receipt(receipt, counter_pub)
+        self.ledger.receipts[receipt.signer, receipt.goods_hash] = receipt
         self.phase = SenderPhase.DONE
 
     def on_receipt_release(self, msg: ReceiptRelease) -> None:
@@ -427,10 +392,9 @@ class ReceiverSession:
         sender_pub = self.registry[self.counterparty]
         payload = _dangle_on_reject(self, open_goods, self.offer, randomizer, sender_pub)
         goods_hash = self.offer.cert.goods_hash
-        self.ledger.record_goods(payload, goods_hash)
-        self.ledger.record_origin_proof(
-            OriginProof(self.offer.origin_proof, goods_hash, self.counterparty),
-            sender_pub)
+        self.ledger.goods[goods_hash] = payload
+        self.ledger.origin_proofs[self.counterparty, goods_hash] = OriginProof(
+            self.offer.origin_proof, goods_hash, self.counterparty)
         self.phase = ReceiverPhase.DONE
 
     def on_key_release(self, msg: KeyRelease) -> ReceiptRelease | None:

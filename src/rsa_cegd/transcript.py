@@ -32,6 +32,7 @@ strings in plain hex):
 The "fields" of a message follow the wire layout of its step, in wire
 order; BODIES holds one (encode, decode) pair per step, built from those
 layouts, and is the only code that maps message bodies to fields and back.
+Likewise evidence_record is the only code that writes a ledger's items.
 
 Identical runs serialize to byte-identical files: nothing time- or
 environment-dependent is recorded.
@@ -45,6 +46,7 @@ from .credentials import GoodsCertificate, RecoverableCert
 from .crypto import PublicKey, hex_to_int, int_to_hex
 from .protocol import (
     EncryptedReceipt,
+    EvidenceLedger,
     GoodsOffer,
     KeyRelease,
     ReceiptRelease,
@@ -52,6 +54,7 @@ from .protocol import (
     RecoveredReceiptKey,
     RecoveryRequest,
 )
+from .vres import OriginProof, Receipt
 
 
 def _name(value) -> str:
@@ -100,6 +103,10 @@ _RECOVERY_CERT = _codec(RecoverableCert, [
     ("masked_exponent", _HEX_INT), ("signature", _HEX_INT)])
 _RANDOMIZER = [("randomizer", _HEX_INT)]
 key_fields, key_from_fields = _codec(PublicKey, [("e", _HEX_INT), ("n", _HEX_INT)])
+_RECEIPT = _codec(Receipt, [
+    ("signer", _NAME), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])[0]
+_ORIGIN_PROOF = _codec(OriginProof, [
+    ("originator", _NAME), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])[0]
 
 # Step tag -> (encode, decode) of its message body.
 BODIES = {cls.STEP: _codec(cls, layout) for cls, layout in [
@@ -141,23 +148,24 @@ def milestone_record(label: str, session: int) -> dict:
     return {"type": "milestone", "session": session, "label": label}
 
 
-def evidence_record(party: str, snapshot: dict) -> dict:
+def evidence_record(party: str, ledger: EvidenceLedger) -> dict:
+    """The evidence row of one party's ledger, entries sorted by their keys."""
     return {
         "type": "evidence",
         "party": party,
-        "goods": snapshot["goods"],
-        "receipts": snapshot["receipts"],
-        "origin_proofs": snapshot["origin_proofs"],
+        "goods": [{"goods_hash": int_to_hex(h), "payload": payload.hex()}
+                  for h, payload in sorted(ledger.goods.items())],
+        "receipts": [_RECEIPT(r) for _, r in sorted(ledger.receipts.items())],
+        "origin_proofs": [_ORIGIN_PROOF(p)
+                          for _, p in sorted(ledger.origin_proofs.items())],
     }
 
 
 def report_lines(header: dict, records: list, evidence: dict,
                  verdict_record: dict) -> list[str]:
-    rows = [header]
-    rows.extend(records)
-    rows.extend(evidence_record(party, snap)
-                for party, snap in sorted(evidence.items()))
-    rows.append(verdict_record)
+    """`evidence` maps each party to its evidence row; rows go out by party."""
+    rows = [header, *records, *(row for _, row in sorted(evidence.items())),
+            verdict_record]
     return [json.dumps(row, separators=(",", ":")) for row in rows]
 
 
