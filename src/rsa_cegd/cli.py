@@ -95,7 +95,8 @@ def _cmd_run(parser, args) -> int:
 def _cmd_verify(args) -> int:
     try:
         rows = load_report(args.path)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+    # ValueError: bad JSON or UTF-8; RecursionError: JSON nested too deeply.
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot read transcript: {exc}", file=sys.stderr)
         return 1
     problems = verify_report(rows)

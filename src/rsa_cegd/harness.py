@@ -73,6 +73,20 @@ UNFAIR_FOR_A = "UNFAIR_FOR_A"
 
 MODES = ("honest", "replay", "eoo-forward")
 
+# Mode -> the (session, label) milestones its run logs, in order.
+MILESTONES = {
+    "honest": [(1, "exchange-completed")],
+    "replay": [(1, "abort-after-E2"), (1, "recovery-material-stored"),
+               (2, "abort-after-E2"), (2, "stale-R1-accepted"),
+               (2, "stale-receipt-recovered"), (2, "stale-key-rejected"),
+               (2, "stale-key-opens-prior-session")],
+    "eoo-forward": [(1, "exchange-completed"), (1, "eoo-forwarded-out-of-band")],
+}
+
+# A run holds about 15 times its goods in memory at peak (replay, 8 MiB of
+# goods: 141 MiB), so 16 MiB keeps a run near 260 MiB.
+MAX_GOODS_SIZE = 1 << 24
+
 
 class ScriptError(RuntimeError):
     """A scripted run deviated from its expected course."""
@@ -100,6 +114,8 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.goods_size < 1:
             raise ValueError("goods_size must be positive")
+        if self.goods_size > MAX_GOODS_SIZE:
+            raise ValueError(f"goods_size must be <= {MAX_GOODS_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +181,7 @@ class AttackReport:
 
     @property
     def narrative(self) -> list[str]:
-        return [r["label"] for r in self.records if r["type"] == "milestone"]
+        return [label for _, label in _milestones(self.records)]
 
     def to_lines(self) -> list[str]:
         return transcript.report_lines(self.header, self.records, self.evidence,
@@ -259,7 +275,13 @@ def evaluate_fairness(world: World) -> FairnessVerdict:
     return verdict_from_snapshot(_evidence(world))
 
 
+def _milestones(rows: list) -> list[tuple]:
+    return [(row["session"], row["label"]) for row in rows if row["type"] == "milestone"]
+
+
 def _report(world: World, expected: str) -> AttackReport:
+    _expect(_milestones(world.records) == MILESTONES[world.config.mode],
+            "milestones differ from MILESTONES")
     evidence = _evidence(world)
     verdict = verdict_from_snapshot(evidence)
     _expect(verdict.status == expected, f"verdict {verdict.status}")
@@ -388,7 +410,8 @@ def run_mode(config: RunConfig) -> AttackReport:
 # Transcript verification: check the header's fields against each other and
 # the record order, run each message's step check from protocol against the
 # session's logged E1, E2 and R1, re-check one evidence row per registered
-# party, and recompute the verdict. Message problems read
+# party, check the header's mode against the milestones (MILESTONES), and
+# recompute the verdict. Message problems read
 # "session <sid> <step>: <code>" with the handlers' codes plus misrouted (a
 # route that does not fit the session, or an unregistered party),
 # goods-size-mismatch (E1), missing-E1/-E2/-R1, residue-mismatch (R2),
@@ -428,6 +451,7 @@ def verify_report(rows: list[dict]) -> list[str]:
     # randomizer and None for the other steps.
     logged: dict[tuple, tuple | None] = {}
     evidence_rows: dict[str, dict] = {}
+    milestones: list[tuple] = []
     evidence_seen = False
     verdict_row = None
 
@@ -468,7 +492,9 @@ def verify_report(rows: list[dict]) -> list[str]:
                 problems.append(f"record {number}: second verdict record")
         elif kind == "header":
             problems.append(f"record {number}: duplicate header record")
-        elif kind != "milestone":
+        elif kind == "milestone":
+            milestones.append((row.get("session"), row.get("label")))
+        else:
             problems.append(f"unknown record type {kind!r}")
 
     for party in sorted(registry):
@@ -479,6 +505,10 @@ def verify_report(rows: list[dict]) -> list[str]:
             _check_evidence(evidence_rows[party], registry, problems)
         except _MALFORMED as exc:
             problems.append(f"malformed evidence for {party}: {exc}")
+
+    mode = header.get("mode")
+    if mode in MODES and milestones != MILESTONES[mode]:
+        problems.append(f"header: mode {mode!r} does not match the milestones")
 
     if verdict_row is None:
         problems.append("missing verdict record")

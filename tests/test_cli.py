@@ -137,6 +137,13 @@ def test_verify_non_utf8_file_fails(tmp_path, capsys):
     assert "cannot read transcript" in capsys.readouterr().err
 
 
+def test_verify_deeply_nested_json_fails(tmp_path, capsys):
+    path = tmp_path / "nested.jsonl"
+    path.write_text("[" * 200000 + "\n")
+    assert main(["verify-transcript", str(path)]) == 1
+    assert "cannot read transcript" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--mode", "bogus", "--seed", "1",
@@ -155,6 +162,14 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
                   "--out", str(tmp_path / "x.jsonl")])
         assert err.value.code == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+    # Goods beyond MAX_GOODS_SIZE, including sizes no C int holds.
+    for size in ("2000000000000", "16777217"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--mode", "honest", *TOY, "--seed", "1", "--goods-size", size,
+                  "--out", str(tmp_path / "x.jsonl")])
+        assert err.value.code == 2
+        assert "goods_size must be <=" in capsys.readouterr().err
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

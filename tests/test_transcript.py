@@ -15,7 +15,6 @@ from rsa_cegd.harness import (
     RunConfig,
     build_world,
     make_sessions,
-    run_eoo_forward,
     run_honest,
     run_mode,
     run_replay_attack,
@@ -30,11 +29,15 @@ def rows_for(report):
     return [json.loads(line) for line in report.to_lines()]
 
 
-def test_all_modes_verify_clean():
-    for run, mode in [(run_honest, "honest"), (run_replay_attack, "replay"),
-                      (run_eoo_forward, "eoo-forward")]:
-        report = run(toy_config(seed=6, mode=mode))
-        assert verify_report(rows_for(report)) == []
+# The ledgers take what the step checks passed without checking it again, so
+# this is the guard that every evidence item a run writes verifies.
+@pytest.mark.parametrize("mode, bits, seed", [
+    (mode, bits, seed) for mode in ("honest", "replay", "eoo-forward")
+    for bits in (16, 32, 64, 128) for seed in range(1, 6)],
+    ids=lambda value: str(value))
+def test_all_modes_verify_clean(mode, bits, seed):
+    report = run_mode(toy_config(seed=seed, mode=mode, bits=bits))
+    assert verify_report(rows_for(report)) == []
 
 
 def test_write_load_roundtrip(tmp_path):
@@ -246,6 +249,31 @@ def test_header_edit_is_a_problem(path, value, expected):
     else:
         node[path[-1]] = value(node[path[-1]]) if callable(value) else value
     assert expected in verify_report(rows)
+
+
+# --- the header's mode against the milestones -------------------------------------
+
+def _replay_as_honest(rows):
+    rows[0]["mode"] = "honest"
+
+
+def _honest_as_eoo_forward(rows):
+    rows[0]["mode"] = "eoo-forward"
+
+
+def _drop_forward_milestone(rows):
+    rows[:] = [r for r in rows if r.get("label") != "eoo-forwarded-out-of-band"]
+
+
+@pytest.mark.parametrize("mode, edit, claimed", [
+    ("replay", _replay_as_honest, "honest"),
+    ("honest", _honest_as_eoo_forward, "eoo-forward"),
+    ("eoo-forward", _drop_forward_milestone, "eoo-forward"),
+], ids=["replay-as-honest", "honest-as-eoo-forward", "eoo-forward-without-forward"])
+def test_mode_must_match_milestones(mode, edit, claimed):
+    rows = _rows(mode)
+    edit(rows)
+    assert verify_report(rows) == [f"header: mode '{claimed}' does not match the milestones"]
 
 
 # --- fuzz: the verifier never raises ----------------------------------------------
