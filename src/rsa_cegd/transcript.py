@@ -172,7 +172,9 @@ def report_lines(header: dict, records: list, evidence: dict,
 def write_report_lines(lines: list[str], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for line in lines:
-            handle.write(line + "\n")
+            # Two writes: `line + "\n"` would copy each multi-MiB goods line.
+            handle.write(line)
+            handle.write("\n")
 
 
 def load_report(path) -> list[dict]:
