@@ -45,7 +45,6 @@ from .harness import (
     run_honest,
     run_mode,
     run_replay_attack,
-    verdict_from_snapshot,
     verify_report,
 )
 from .protocol import (

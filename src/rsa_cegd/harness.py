@@ -59,7 +59,7 @@ from .protocol import (
     open_goods,
     open_receipt,
 )
-from .vres import Receipt, verify_origin_proof, verify_receipt
+from .vres import verify_origin_proof, verify_receipt
 
 SELLER = "seller"
 BUYER = "buyer"
@@ -234,45 +234,28 @@ def make_sessions(world: World, session: int) -> tuple[SenderSession, ReceiverSe
     return sender, receiver
 
 
-def verdict_from_snapshot(snapshots: dict[str, dict]) -> FairnessVerdict:
-    """Pure verdict over evidence holdings, snapshot-shaped (hex values).
+def evaluate_fairness(ledgers: dict[str, EvidenceLedger]) -> FairnessVerdict:
+    """Pure verdict over evidence holdings.
 
     Unfair for the receiving side when anyone holds a receipt whose signer
     does not hold the matching goods; unfair for the originating side when
     anyone holds an origin proof without the originator holding that
     party's receipt for the same goods. Checked in that order, parties and
-    entries in sorted order, so the verdict is deterministic.
+    ledger keys in sorted order (the order of evidence rows), so the
+    verdict is deterministic.
     """
-    goods_held = {party: {g["goods_hash"] for g in snap["goods"]}
-                  for party, snap in snapshots.items()}
-    receipts_held = {party: {(r["signer"], r["goods_hash"]) for r in snap["receipts"]}
-                     for party, snap in snapshots.items()}
-    for party in sorted(snapshots):
-        for entry in sorted(snapshots[party]["receipts"],
-                            key=lambda r: (r["signer"], r["goods_hash"])):
-            if entry["goods_hash"] not in goods_held.get(entry["signer"], set()):
-                return FairnessVerdict(UNFAIR_FOR_B,
-                                       goods_hash=hex_to_int(entry["goods_hash"]),
+    for party in sorted(ledgers):
+        for signer, goods_hash in sorted(ledgers[party].receipts):
+            if signer not in ledgers or goods_hash not in ledgers[signer].goods:
+                return FairnessVerdict(UNFAIR_FOR_B, goods_hash=goods_hash,
                                        receipt_holder=party)
-    for party in sorted(snapshots):
-        for entry in sorted(snapshots[party]["origin_proofs"],
-                            key=lambda p: (p["originator"], p["goods_hash"])):
-            originator = entry["originator"]
-            if (party, entry["goods_hash"]) not in receipts_held.get(originator, set()):
-                return FairnessVerdict(UNFAIR_FOR_A,
-                                       goods_hash=hex_to_int(entry["goods_hash"]),
+    for party in sorted(ledgers):
+        for originator, goods_hash in sorted(ledgers[party].origin_proofs):
+            if (originator not in ledgers
+                    or (party, goods_hash) not in ledgers[originator].receipts):
+                return FairnessVerdict(UNFAIR_FOR_A, goods_hash=goods_hash,
                                        eoo_holder=party)
     return FairnessVerdict(FAIR)
-
-
-def _evidence(world: World) -> dict[str, dict]:
-    """Party -> the evidence row of its ledger."""
-    return {party: transcript.evidence_record(party, ledger)
-            for party, ledger in world.ledgers.items()}
-
-
-def evaluate_fairness(world: World) -> FairnessVerdict:
-    return verdict_from_snapshot(_evidence(world))
 
 
 def _milestones(rows: list) -> list[tuple]:
@@ -282,9 +265,10 @@ def _milestones(rows: list) -> list[tuple]:
 def _report(world: World, expected: str) -> AttackReport:
     _expect(_milestones(world.records) == MILESTONES[world.config.mode],
             "milestones differ from MILESTONES")
-    evidence = _evidence(world)
-    verdict = verdict_from_snapshot(evidence)
+    verdict = evaluate_fairness(world.ledgers)
     _expect(verdict.status == expected, f"verdict {verdict.status}")
+    evidence = {party: transcript.evidence_record(party, ledger)
+                for party, ledger in world.ledgers.items()}
     return AttackReport(world.header(), world.records, evidence, verdict)
 
 
@@ -381,7 +365,8 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
     the outsider."""
     world = build_world(config)
     _, _, offer = _exchange(world, 1)
-    _expect(evaluate_fairness(world).status == FAIR, "world unfair before the forward")
+    _expect(evaluate_fairness(world.ledgers).status == FAIR,
+            "world unfair before the forward")
 
     goods_hash = offer.cert.goods_hash
     buyer_ledger = world.ledgers[BUYER]
@@ -409,9 +394,10 @@ def run_mode(config: RunConfig) -> AttackReport:
 # ---------------------------------------------------------------------------
 # Transcript verification: check the header's fields against each other and
 # the record order, run each message's step check from protocol against the
-# session's logged E1, E2 and R1, re-check one evidence row per registered
-# party, check the header's mode against the milestones (MILESTONES), and
-# recompute the verdict. Message problems read
+# session's logged E1, E2 and R1, decode one evidence row per registered
+# party into a ledger and re-check its items, check the header's mode
+# against the milestones (MILESTONES), and recompute the verdict from the
+# ledgers once every row decoded. Message problems read
 # "session <sid> <step>: <code>" with the handlers' codes plus misrouted (a
 # route that does not fit the session, or an unregistered party),
 # goods-size-mismatch (E1), missing-E1/-E2/-R1, residue-mismatch (R2),
@@ -497,14 +483,17 @@ def verify_report(rows: list[dict]) -> list[str]:
         else:
             problems.append(f"unknown record type {kind!r}")
 
+    ledgers: dict[str, EvidenceLedger] = {}
     for party in sorted(registry):
         if party not in evidence_rows:
             problems.append(f"missing evidence for {party}")
             continue
         try:
-            _check_evidence(evidence_rows[party], registry, problems)
+            ledgers[party] = transcript.ledger_from_record(evidence_rows[party])
         except _MALFORMED as exc:
             problems.append(f"malformed evidence for {party}: {exc}")
+        else:
+            _check_evidence(party, ledgers[party], registry, problems)
 
     mode = header.get("mode")
     if mode in MODES and milestones != MILESTONES[mode]:
@@ -513,14 +502,12 @@ def verify_report(rows: list[dict]) -> list[str]:
     if verdict_row is None:
         problems.append("missing verdict record")
         return problems
-    try:
-        recomputed = verdict_from_snapshot(evidence_rows).to_record()
-    except _MALFORMED as exc:
-        problems.append(f"cannot recompute verdict: {exc}")
-        return problems
-    if recomputed != verdict_row:
-        problems.append(
-            f"verdict mismatch: recorded {verdict_row}, recomputed {recomputed}")
+    # Without every ledger, a recomputed verdict would only repeat a fault.
+    if len(ledgers) == len(registry):
+        recomputed = evaluate_fairness(ledgers).to_record()
+        if recomputed != verdict_row:
+            problems.append(
+                f"verdict mismatch: recorded {verdict_row}, recomputed {recomputed}")
     return problems
 
 
@@ -608,33 +595,23 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
     logged[sid, step] = (row, body, derived)
 
 
-def _check_evidence(row: dict, registry, problems: list[str]) -> None:
-    party = row["party"]
-
+def _check_evidence(party: str, ledger: EvidenceLedger, registry,
+                    problems: list[str]) -> None:
     def flag(what: str) -> None:
         problems.append(f"evidence for {party}: {what}")
 
-    for key in ("goods", "receipts", "origin_proofs"):
-        if not isinstance(row[key], list):
-            raise TypeError(f"{key} is not a list")
-    for entry in row["goods"]:
-        payload = bytes.fromhex(entry["payload"])
-        if hash_goods(payload) != hex_to_int(entry["goods_hash"]):
+    for goods_hash, payload in ledger.goods.items():
+        if hash_goods(payload) != goods_hash:
             flag("goods payload does not match its hash")
-    for entry in row["receipts"]:
-        signer_pub = registry.get(entry["signer"])
+    for receipt in ledger.receipts.values():
+        signer_pub = registry.get(receipt.signer)
         if signer_pub is None:
-            flag(f"receipt from unknown signer {entry['signer']!r}")
-            continue
-        receipt = Receipt(hex_to_int(entry["value"]), hex_to_int(entry["goods_hash"]),
-                          entry["signer"])
-        if not verify_receipt(receipt, signer_pub):
+            flag(f"receipt from unknown signer {receipt.signer!r}")
+        elif not verify_receipt(receipt, signer_pub):
             flag("receipt does not verify")
-    for entry in row["origin_proofs"]:
-        originator_pub = registry.get(entry["originator"])
+    for proof in ledger.origin_proofs.values():
+        originator_pub = registry.get(proof.originator)
         if originator_pub is None:
-            flag(f"origin proof from unknown originator {entry['originator']!r}")
-            continue
-        if not verify_origin_proof(hex_to_int(entry["value"]),
-                                   hex_to_int(entry["goods_hash"]), originator_pub):
+            flag(f"origin proof from unknown originator {proof.originator!r}")
+        elif not verify_origin_proof(proof.value, proof.goods_hash, originator_pub):
             flag("origin proof does not verify")

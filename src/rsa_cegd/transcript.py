@@ -32,7 +32,8 @@ strings in plain hex):
 The "fields" of a message follow the wire layout of its step, in wire
 order; BODIES holds one (encode, decode) pair per step, built from those
 layouts, and is the only code that maps message bodies to fields and back.
-Likewise evidence_record is the only code that writes a ledger's items.
+Likewise evidence_record is the only code that writes a ledger's items, and
+ledger_from_record, its inverse, the only reader of evidence rows.
 
 Identical runs serialize to byte-identical files: nothing time- or
 environment-dependent is recorded.
@@ -104,9 +105,9 @@ _RECOVERY_CERT = _codec(RecoverableCert, [
 _RANDOMIZER = [("randomizer", _HEX_INT)]
 key_fields, key_from_fields = _codec(PublicKey, [("e", _HEX_INT), ("n", _HEX_INT)])
 _RECEIPT = _codec(Receipt, [
-    ("signer", _NAME), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])[0]
+    ("signer", _NAME), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])
 _ORIGIN_PROOF = _codec(OriginProof, [
-    ("originator", _NAME), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])[0]
+    ("originator", _NAME), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])
 
 # Step tag -> (encode, decode) of its message body.
 BODIES = {cls.STEP: _codec(cls, layout) for cls, layout in [
@@ -155,10 +156,30 @@ def evidence_record(party: str, ledger: EvidenceLedger) -> dict:
         "party": party,
         "goods": [{"goods_hash": int_to_hex(h), "payload": payload.hex()}
                   for h, payload in sorted(ledger.goods.items())],
-        "receipts": [_RECEIPT(r) for _, r in sorted(ledger.receipts.items())],
-        "origin_proofs": [_ORIGIN_PROOF(p)
+        "receipts": [_RECEIPT[0](r) for _, r in sorted(ledger.receipts.items())],
+        "origin_proofs": [_ORIGIN_PROOF[0](p)
                           for _, p in sorted(ledger.origin_proofs.items())],
     }
+
+
+def ledger_from_record(row: dict) -> EvidenceLedger:
+    """The ledger an evidence row encodes, keyed as the handlers key it.
+    A row of the wrong shape, or one listing an item twice, raises KeyError,
+    TypeError or ValueError."""
+    keys = ("goods", "receipts", "origin_proofs")
+    for key in keys:
+        if not isinstance(row[key], list):
+            raise TypeError(f"{key} is not a list")
+    ledger = EvidenceLedger()
+    ledger.goods = {hex_to_int(g["goods_hash"]): bytes.fromhex(g["payload"])
+                    for g in row["goods"]}
+    ledger.receipts = {(r.signer, r.goods_hash): r
+                       for r in map(_RECEIPT[1], row["receipts"])}
+    ledger.origin_proofs = {(p.originator, p.goods_hash): p
+                            for p in map(_ORIGIN_PROOF[1], row["origin_proofs"])}
+    if any(len(getattr(ledger, key)) != len(row[key]) for key in keys):
+        raise ValueError("evidence lists an item twice")
+    return ledger
 
 
 def report_lines(header: dict, records: list, evidence: dict,

@@ -57,6 +57,11 @@ def object_goods(rows):
     next(r for r in rows if r["type"] == "evidence")["goods"] = {}
 
 
+def duplicate_receipt(rows):
+    receipts = next(r for r in rows if r.get("party") == "seller")["receipts"]
+    receipts.append(dict(receipts[0]))
+
+
 def list_record(rows):
     rows.insert(3, [1, 2])
 
@@ -104,6 +109,7 @@ def drop_buyer_evidence(rows):
     (drop_party, "FAIL: record 16: evidence without a party name"),
     (non_hex_receipt, "FAIL: malformed evidence for seller: invalid literal"),
     (object_goods, "FAIL: malformed evidence for buyer: goods is not a list"),
+    (duplicate_receipt, "FAIL: malformed evidence for seller: evidence lists an item twice"),
     (list_record, "FAIL: record 4 is not a JSON object"),
     (list_registry, "FAIL: malformed header: 'list' object has no attribute 'items'"),
     (second_header, "FAIL: record 2: duplicate header record"),
@@ -114,7 +120,8 @@ def drop_buyer_evidence(rows):
     (record_after_verdict, "FAIL: record 19: record after the verdict"),
     (milestone_after_evidence, "FAIL: record 18: milestone record after the evidence"),
     (drop_buyer_evidence, "FAIL: missing evidence for buyer"),
-], ids=["no-receipts", "no-party", "non-hex-value", "object-goods", "list-record", "list-registry",
+], ids=["no-receipts", "no-party", "non-hex-value", "object-goods", "duplicate-receipt",
+        "list-record", "list-registry",
         "second-header", "second-verdict", "duplicate-evidence", "unknown-party",
         "after-verdict", "after-evidence", "missing-evidence"])
 def test_verify_malformed_record_fails(tmp_path, capsys, corrupt, expected):

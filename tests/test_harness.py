@@ -19,13 +19,17 @@ from rsa_cegd.harness import (
     run_eoo_forward,
     run_honest,
     run_mode,
+    evaluate_fairness,
     run_replay_attack,
-    verdict_from_snapshot,
 )
+from rsa_cegd.transcript import ledger_from_record
 
 
-def empty_snapshot():
-    return {"goods": [], "receipts": [], "origin_proofs": []}
+def ledgers(snapshots):
+    """Party -> the ledger of a hand-built evidence row; absent lists are empty."""
+    return {party: ledger_from_record({"goods": [], "receipts": [], "origin_proofs": [],
+                                       **snap})
+            for party, snap in snapshots.items()}
 
 
 def test_honest_run_is_fair():
@@ -99,7 +103,7 @@ def test_run_mode_dispatch():
 
 
 def test_run_honest_checks_its_verdict(monkeypatch):
-    monkeypatch.setattr(harness, "verdict_from_snapshot", lambda snapshots: FairnessVerdict(
+    monkeypatch.setattr(harness, "evaluate_fairness", lambda ledgers: FairnessVerdict(
         UNFAIR_FOR_B, goods_hash=1, receipt_holder=SELLER))
     with pytest.raises(ScriptError, match="verdict UNFAIR_FOR_B"):
         run_honest(toy_config(seed=3))
@@ -128,37 +132,44 @@ def test_config_validation():
 
 def test_verdict_fair_when_both_sides_hold():
     snapshots = {
-        "seller": {**empty_snapshot(),
-                   "receipts": [{"signer": "buyer", "goods_hash": "aa", "value": "1"}]},
-        "buyer": {**empty_snapshot(),
-                  "goods": [{"goods_hash": "aa", "payload": ""}],
+        "seller": {"receipts": [{"signer": "buyer", "goods_hash": "aa", "value": "1"}]},
+        "buyer": {"goods": [{"goods_hash": "aa", "payload": ""}],
                   "origin_proofs": [{"originator": "seller", "goods_hash": "aa",
                                      "value": "2"}]},
     }
-    assert verdict_from_snapshot(snapshots).status == FAIR
+    assert evaluate_fairness(ledgers(snapshots)).status == FAIR
 
 
 def test_verdict_unfair_for_receiver_side():
     snapshots = {
-        "seller": {**empty_snapshot(),
-                   "receipts": [{"signer": "buyer", "goods_hash": "aa", "value": "1"}]},
-        "buyer": empty_snapshot(),
+        "seller": {"receipts": [{"signer": "buyer", "goods_hash": "aa", "value": "1"}]},
+        "buyer": {},
     }
-    verdict = verdict_from_snapshot(snapshots)
+    verdict = evaluate_fairness(ledgers(snapshots))
     assert verdict.status == UNFAIR_FOR_B
     assert verdict.goods_hash == 0xAA
     assert verdict.receipt_holder == "seller"
 
 
+def test_verdict_names_the_first_unfair_item_in_row_order():
+    # Rows list items by integer hash, so 0xb comes before 0xaa (text order
+    # would put "aa" first).
+    snapshots = {
+        "seller": {"receipts": [{"signer": "buyer", "goods_hash": "b", "value": "1"},
+                                {"signer": "buyer", "goods_hash": "aa", "value": "1"}]},
+        "buyer": {},
+    }
+    assert evaluate_fairness(ledgers(snapshots)).goods_hash == 0xB
+
+
 def test_verdict_unfair_for_origin_side():
     snapshots = {
-        "seller": empty_snapshot(),
-        "outsider": {**empty_snapshot(),
-                     "goods": [{"goods_hash": "aa", "payload": ""}],
+        "seller": {},
+        "outsider": {"goods": [{"goods_hash": "aa", "payload": ""}],
                      "origin_proofs": [{"originator": "seller", "goods_hash": "aa",
                                         "value": "2"}]},
     }
-    verdict = verdict_from_snapshot(snapshots)
+    verdict = evaluate_fairness(ledgers(snapshots))
     assert verdict.status == UNFAIR_FOR_A
     assert verdict.eoo_holder == "outsider"
 
@@ -166,10 +177,9 @@ def test_verdict_unfair_for_origin_side():
 def test_verdict_recomputable_after_serialization():
     report = run_replay_attack(toy_config(seed=2, mode="replay"))
     rows = [json.loads(line) for line in report.to_lines()]
-    snapshots = {row["party"]: {"goods": row["goods"], "receipts": row["receipts"],
-                                "origin_proofs": row["origin_proofs"]}
-                 for row in rows if row["type"] == "evidence"}
-    assert verdict_from_snapshot(snapshots) == report.verdict
+    decoded = {row["party"]: ledger_from_record(row)
+               for row in rows if row["type"] == "evidence"}
+    assert evaluate_fairness(decoded) == report.verdict
 
 
 def test_verdict_record_shapes():

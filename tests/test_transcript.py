@@ -22,7 +22,14 @@ from rsa_cegd.harness import (
     verify_report,
 )
 from rsa_cegd.protocol import ArbiterService, Reject
-from rsa_cegd.transcript import BODIES, decode_body, load_report, write_report_lines
+from rsa_cegd.transcript import (
+    BODIES,
+    decode_body,
+    evidence_record,
+    ledger_from_record,
+    load_report,
+    write_report_lines,
+)
 
 
 def rows_for(report):
@@ -113,7 +120,8 @@ def test_stale_recovery_transcript_still_verifies():
 @pytest.mark.parametrize("bits, exponent", [(32, 3), (256, 65537)])
 @pytest.mark.parametrize("mode", ["honest", "replay", "eoo-forward"])
 def test_codec_round_trip(mode, bits, exponent):
-    # Encoding a decoded body gives back the same fields, in the same order.
+    # Encoding a decoded body or ledger gives back the same fields, in the
+    # same order.
     for seed in (1, 2, 3):
         report = run_mode(RunConfig(mode=mode, bits=bits, exponent=exponent, seed=seed))
         for record in report.records:
@@ -121,6 +129,9 @@ def test_codec_round_trip(mode, bits, exponent):
                 fields = record["fields"]
                 encoded = BODIES[record["step"]][0](decode_body(record["step"], fields))
                 assert json.dumps(encoded) == json.dumps(fields)
+        for party, row in report.evidence.items():
+            encoded = evidence_record(party, ledger_from_record(row))
+            assert json.dumps(encoded) == json.dumps(row)
 
 
 # --- parity: the verifier reports what the receiving handler rejects -------------
@@ -249,6 +260,26 @@ def test_header_edit_is_a_problem(path, value, expected):
     else:
         node[path[-1]] = value(node[path[-1]]) if callable(value) else value
     assert expected in verify_report(rows)
+
+
+# --- one fault, one problem -------------------------------------------------------
+
+def _drop_buyer_receipts(rows):
+    del next(r for r in rows if r.get("party") == "buyer")["receipts"]
+
+
+_ONE_PROBLEM_EDITS = [
+    ("buyer-no-receipts", _drop_buyer_receipts, "malformed evidence for buyer: 'receipts'"),
+]
+
+
+@pytest.mark.parametrize("edit, expected", [c[1:] for c in _ONE_PROBLEM_EDITS],
+                         ids=[c[0] for c in _ONE_PROBLEM_EDITS])
+def test_malformed_field_is_one_problem(edit, expected):
+    # A row that does not decode is reported once, not again by the verdict.
+    rows = _rows("replay")
+    edit(rows)
+    assert verify_report(rows) == [expected]
 
 
 # --- the header's mode against the milestones -------------------------------------
