@@ -39,9 +39,10 @@ def int_to_hex(value: int) -> str:
 
 
 def hex_to_int(text: str) -> int:
+    """Inverse of int_to_hex: only the canonical form is accepted."""
     value = int(text, 16)
-    if value < 0:
-        raise ValueError("negative values have no canonical form")
+    if int_to_hex(value) != text:
+        raise ValueError("hex is not in canonical form")
     return value
 
 

@@ -264,11 +264,42 @@ def test_header_edit_is_a_problem(path, value, expected):
 
 # --- one fault, one problem -------------------------------------------------------
 
+def _edit_seller_receipt(edit):
+    def apply(rows):
+        row = next(r for r in rows if r.get("party") == "seller")
+        row["receipts"][0]["value"] = edit(row["receipts"][0]["value"])
+    return apply
+
+
+def _edit_first_e1(rows):
+    e1 = next(r for r in rows if r.get("step") == "E1")
+    e1["fields"]["blinded_key"] = "0x" + e1["fields"]["blinded_key"]
+
+
+def _hex_exponent(rows):
+    rows[0]["exponent"] = "0x10001"
+
+
+def _underscore_in_modulus(rows):
+    n = rows[0]["registry"]["buyer"]["n"]
+    rows[0]["registry"]["buyer"]["n"] = n[0] + "_" + n[1:]
+
+
 def _drop_buyer_receipts(rows):
     del next(r for r in rows if r.get("party") == "buyer")["receipts"]
 
 
+_NON_CANONICAL = "hex is not in canonical form"
 _ONE_PROBLEM_EDITS = [
+    ("receipt-0x", _edit_seller_receipt(lambda v: "0x" + v),
+     f"malformed evidence for seller: {_NON_CANONICAL}"),
+    ("receipt-upper", _edit_seller_receipt(lambda v: "A" + v.upper()),
+     f"malformed evidence for seller: {_NON_CANONICAL}"),
+    ("receipt-leading-zero", _edit_seller_receipt(lambda v: "0" + v),
+     f"malformed evidence for seller: {_NON_CANONICAL}"),
+    ("blinded-key-0x", _edit_first_e1, f"malformed E1 record: {_NON_CANONICAL}"),
+    ("exponent-0x", _hex_exponent, f"malformed header: {_NON_CANONICAL}"),
+    ("modulus-underscore", _underscore_in_modulus, f"malformed header: {_NON_CANONICAL}"),
     ("buyer-no-receipts", _drop_buyer_receipts, "malformed evidence for buyer: 'receipts'"),
 ]
 
@@ -276,7 +307,8 @@ _ONE_PROBLEM_EDITS = [
 @pytest.mark.parametrize("edit, expected", [c[1:] for c in _ONE_PROBLEM_EDITS],
                          ids=[c[0] for c in _ONE_PROBLEM_EDITS])
 def test_malformed_field_is_one_problem(edit, expected):
-    # A row that does not decode is reported once, not again by the verdict.
+    # Integers are accepted only in canonical lowercase hex, and a row that
+    # does not decode is reported once, not again by the verdict.
     rows = _rows("replay")
     edit(rows)
     assert verify_report(rows) == [expected]
