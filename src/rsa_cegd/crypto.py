@@ -290,6 +290,9 @@ def rsa_keygen_with_exponent(bits: int, exponent: int, seed: int) -> RsaKeyPair:
         raise ValueError("modulus width must be >= 16 bits")
     if exponent < 3 or exponent % 2 == 0:
         raise ValueError("public exponent must be odd and >= 3")
+    if seed < 0:
+        # random.Random drops the sign, so -s would give the keypair of s.
+        raise ValueError("seed must be >= 0")
     rng = random.Random(seed)
     p_bits = bits - bits // 2
     q_bits = bits // 2

@@ -160,15 +160,17 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         main(["run", "--mode", "honest", "--bits", "8", "--seed", "1",
               "--out", str(tmp_path / "x.jsonl")])
     assert err.value.code == 2
-    # A negative seed, from the flag or the variable, has no canonical encoding.
-    monkeypatch.setenv("CEGD_SEED", "-1")
-    for seed_args in (["--seed", "-1"], []):
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            main(["run", "--mode", "honest", *TOY, *seed_args,
-                  "--out", str(tmp_path / "x.jsonl")])
-        assert err.value.code == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
+    # A negative seed, from the flag or the variable, has no canonical encoding,
+    # and keygen would drop its sign.
+    monkeypatch.setenv("CEGD_SEED", "-7")
+    for command in (["run", "--mode", "honest", "--out", str(tmp_path / "x.jsonl")],
+                    ["keygen"]):
+        for seed_args in (["--seed", "-7"], []):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as err:
+                main([*command, *TOY, *seed_args])
+            assert err.value.code == 2
+            assert "seed must be >= 0" in capsys.readouterr().err
     # Goods beyond MAX_GOODS_SIZE, including sizes no C int holds.
     for size in ("2000000000000", "16777217"):
         capsys.readouterr()
