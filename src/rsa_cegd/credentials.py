@@ -50,13 +50,8 @@ class RecoverableCert:
 
 
 @dataclass(frozen=True)
-class CaIdentity:
-    party_id: str
-    keys: RsaKeyPair
-
-
-@dataclass(frozen=True)
-class TtpIdentity:
+class Identity:
+    """A party, the CA or the arbiter: an id and its RSA key pair."""
     party_id: str
     keys: RsaKeyPair
 
@@ -74,7 +69,7 @@ def _cert_digest(description, ciphertext_hash, goods_hash, enc_key, modulus):
     return hash_int("cert", data, modulus)
 
 
-def issue_goods_cert(ca: CaIdentity, goods: bytes, description: bytes,
+def issue_goods_cert(ca: Identity, goods: bytes, description: bytes,
                      key: int, owner_pub: PublicKey) -> tuple[GoodsCertificate, bytes]:
     """Sign the binding between a goods payload, its encryption under
     `key`, and the key itself encrypted to the owner.
@@ -126,7 +121,7 @@ def _exponent_mask(ttp_keys: RsaKeyPair, pub: PublicKey) -> int:
     return hash_int("d_bt-mask", data, pub.n)
 
 
-def issue_recoverable_cert(ttp: TtpIdentity, subject_exponent: int,
+def issue_recoverable_cert(ttp: Identity, subject_exponent: int,
                            bits: int, seed: int) -> tuple[RecoverableCert, RsaKeyPair]:
     """Mint a recovery keypair sharing the subject's public exponent and
     certify (public key, masked private exponent) under the arbiter key.
@@ -155,7 +150,7 @@ def verify_recoverable_cert(cert: RecoverableCert, ttp_pub: PublicKey) -> bool:
     return mod_pow(cert.signature, ttp_pub.e, ttp_pub.n) == digest
 
 
-def recover_private_exponent(ttp: TtpIdentity, cert: RecoverableCert) -> int:
+def recover_private_exponent(ttp: Identity, cert: RecoverableCert) -> int:
     """Arbiter-side unmasking of the certified private exponent."""
     if not verify_recoverable_cert(cert, ttp.keys.public):
         raise InvalidCert("recovery certificate does not verify under this arbiter")

@@ -30,13 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import transcript
-from .credentials import (
-    CaIdentity,
-    RecoverableCert,
-    TtpIdentity,
-    hash_goods,
-    issue_recoverable_cert,
-)
+from .credentials import Identity, RecoverableCert, hash_goods, issue_recoverable_cert
 from .crypto import (
     PublicKey,
     RsaKeyPair,
@@ -49,7 +43,6 @@ from .crypto import (
 from .protocol import (
     ArbiterService,
     EvidenceLedger,
-    PartyKeyring,
     ReceiverSession,
     Reject,
     SenderSession,
@@ -139,9 +132,9 @@ class FairnessVerdict:
 @dataclass
 class World:
     config: RunConfig
-    ca: CaIdentity
-    arbiter: TtpIdentity
-    keyrings: dict[str, PartyKeyring]
+    ca: Identity
+    arbiter: Identity
+    keyrings: dict[str, Identity]
     registry: dict[str, PublicKey]
     recovery_certs: dict[str, tuple[RecoverableCert, RsaKeyPair]]
     ledgers: dict[str, EvidenceLedger]
@@ -195,10 +188,10 @@ def build_world(config: RunConfig) -> World:
         return rsa_keygen_with_exponent(config.bits, config.exponent,
                                         derive_seed(seed, label))
 
-    ca = CaIdentity(CERT_AUTHORITY, keypair("ca"))
-    arbiter = TtpIdentity(ARBITER, keypair("arbiter"))
+    ca = Identity(CERT_AUTHORITY, keypair("ca"))
+    arbiter = Identity(ARBITER, keypair("arbiter"))
     party_ids = [SELLER, BUYER] + ([OUTSIDER] if config.mode == "eoo-forward" else [])
-    keyrings = {pid: PartyKeyring(pid, keypair(f"party-{pid}")) for pid in party_ids}
+    keyrings = {pid: Identity(pid, keypair(f"party-{pid}")) for pid in party_ids}
     registry = {pid: ring.keys.public for pid, ring in keyrings.items()}
     buyer_cert, buyer_recovery = issue_recoverable_cert(
         arbiter, keyrings[BUYER].keys.e, config.bits, derive_seed(seed, "recovery-buyer"))

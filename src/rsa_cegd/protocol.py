@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .credentials import (
-    CaIdentity,
     GoodsCertificate,
+    Identity,
     RecoverableCert,
-    TtpIdentity,
     check_goods_cert,
     hash_goods,
     issue_goods_cert,
@@ -93,12 +92,6 @@ class ReceiverPhase(Enum):
     SENT_RECEIPT = "sent-receipt"
     DONE = "done"
     DANGLING = "dangling"
-
-
-@dataclass(frozen=True)
-class PartyKeyring:
-    party_id: str
-    keys: RsaKeyPair
 
 
 # Message bodies. STEP is the transcript tag; sender, recipient and session
@@ -261,7 +254,7 @@ def _dangle_on_reject(session, check, *args):
 class SenderSession:
     """Seller side of one exchange session."""
 
-    def __init__(self, keyring: PartyKeyring, counterparty: str, ca: CaIdentity,
+    def __init__(self, keyring: Identity, counterparty: str, ca: Identity,
                  arbiter_pub: PublicKey, registry: dict[str, PublicKey],
                  ledger: EvidenceLedger, rng: random.Random):
         self.keyring = keyring
@@ -352,7 +345,7 @@ class SenderSession:
 class ReceiverSession:
     """Buyer side of one exchange session."""
 
-    def __init__(self, keyring: PartyKeyring, counterparty: str, ca_pub: PublicKey,
+    def __init__(self, keyring: Identity, counterparty: str, ca_pub: PublicKey,
                  registry: dict[str, PublicKey], recovery_cert: RecoverableCert,
                  recovery_keys: RsaKeyPair, ledger: EvidenceLedger,
                  rng: random.Random):
@@ -418,7 +411,7 @@ class ArbiterService:
     request is judged on internal consistency alone, so a tuple retained
     from one run passes identically when presented during another."""
 
-    def __init__(self, identity: TtpIdentity, registry: dict[str, PublicKey]):
+    def __init__(self, identity: Identity, registry: dict[str, PublicKey]):
         self.identity = identity
         self.registry = registry
 

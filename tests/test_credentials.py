@@ -5,11 +5,10 @@ import random
 import pytest
 
 from rsa_cegd.credentials import (
-    CaIdentity,
     GoodsCertificate,
+    Identity,
     InvalidCert,
     InvalidKey,
-    TtpIdentity,
     hash_ciphertext,
     hash_goods,
     issue_goods_cert,
@@ -20,7 +19,7 @@ from rsa_cegd.credentials import (
 )
 from rsa_cegd.crypto import keypair_from_primes, mod_pow, rsa_keygen_with_exponent, sym_encrypt
 
-TOY_CA = CaIdentity("cert-authority", keypair_from_primes(5, 23, 3))
+TOY_CA = Identity("cert-authority", keypair_from_primes(5, 23, 3))
 TOY_OWNER = keypair_from_primes(3, 11, 3)  # n=33, d=7
 GOODS = b"a small electronic good"
 DESCRIPTION = b"toy goods"
@@ -67,12 +66,12 @@ def test_verify_detects_truncated_ciphertext():
 
 def test_verify_detects_wrong_ca():
     cert = toy_cert()
-    other_ca = CaIdentity("cert-authority", keypair_from_primes(5, 29, 3))
+    other_ca = Identity("cert-authority", keypair_from_primes(5, 29, 3))
     assert not verify_goods_cert(cert, sym_encrypt(5, GOODS), other_ca.keys.public)
 
 
 def arbiter(bits=128, seed=1):
-    return TtpIdentity("arbiter", rsa_keygen_with_exponent(bits, 65537, seed))
+    return Identity("arbiter", rsa_keygen_with_exponent(bits, 65537, seed))
 
 
 def test_recoverable_issue_verify_recover():
