@@ -99,6 +99,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("bits", "exponent", "seed", "goods_size"):
+            if type(getattr(self, name)) is not int:  # bool and float too
+                raise TypeError(f"{name} must be an integer")
         if self.bits < 16:
             raise ValueError("bits must be >= 16")
         if self.exponent < 3 or self.exponent % 2 == 0:
@@ -506,12 +509,15 @@ def verify_report(rows: list[dict]) -> list[str]:
 
 def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) -> None:
     """The header's own fields against each other; `keys` holds a (name, key)
-    pair per public key the header lists. The seed cannot be checked without
-    a re-run."""
-    if header.get("format") != 1:
+    pair per public key the header lists. The run configuration passes the
+    checks a run's arguments pass; only the seed's value needs a re-run."""
+    if type(header.get("format")) is not int or header["format"] != 1:
         problems.append(f"header: unsupported format {header.get('format')!r}")
-    if header.get("mode") not in MODES:
-        problems.append(f"header: unknown mode {header.get('mode')!r}")
+    try:
+        RunConfig(header.get("mode"), header.get("bits"), exponent, header.get("seed"),
+                  header.get("goods_size"))
+    except (TypeError, ValueError) as exc:
+        problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):
         problems.append("header: parties do not match the registry")
     for name, pub in keys:

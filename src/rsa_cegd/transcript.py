@@ -8,7 +8,7 @@ A report file is one JSON object per line, in order:
   4. exactly one verdict record.
 
 Record shapes (all big integers in canonical lowercase hex, all byte
-strings in plain hex):
+strings in lowercase hex with no spaces):
 
   header    {"type":"header","format":1,"mode":...,"bits":...,
              "exponent":hex,"seed":int,"goods_size":int,
@@ -64,9 +64,18 @@ def _name(value) -> str:
     return value
 
 
+def _hex_bytes(text: str) -> bytes:
+    """Inverse of bytes.hex: only lowercase hex without spaces is accepted.
+    Checked in place, since the text can be the goods, several MiB long."""
+    raw = bytes.fromhex(text)
+    if len(text) != 2 * len(raw) or any(c in text for c in "ABCDEF"):
+        raise ValueError("hex is not in canonical form")
+    return raw
+
+
 # Field kinds: (encode, decode) of one wire value; a codec is one too.
 _HEX_INT = (int_to_hex, hex_to_int)
-_HEX_BYTES = (bytes.hex, bytes.fromhex)
+_HEX_BYTES = (bytes.hex, _hex_bytes)
 _NAME = (str, _name)
 
 
@@ -171,7 +180,7 @@ def ledger_from_record(row: dict) -> EvidenceLedger:
         if not isinstance(row[key], list):
             raise TypeError(f"{key} is not a list")
     ledger = EvidenceLedger()
-    ledger.goods = {hex_to_int(g["goods_hash"]): bytes.fromhex(g["payload"])
+    ledger.goods = {hex_to_int(g["goods_hash"]): _hex_bytes(g["payload"])
                     for g in row["goods"]}
     ledger.receipts = {(r.signer, r.goods_hash): r
                        for r in map(_RECEIPT[1], row["receipts"])}

@@ -245,6 +245,13 @@ _HEADER_EDITS = [
     (("arbiter", "e"), "3", "header: arbiter key exponent is not the header's exponent"),
     (("goods_size",), 63, "session 2 E1: goods-size-mismatch"),
     (("goods_size",), "zz", "session 1 E1: goods-size-mismatch"),
+    (("seed",), "abc", "header: seed must be an integer"),
+    (("seed",), -1, "header: seed must be >= 0"),
+    (("seed",), True, "header: seed must be an integer"),
+    (("seed",), "delete", "header: seed must be an integer"),
+    (("bits",), 64.0, "header: bits must be an integer"),
+    (("format",), 1.0, "header: unsupported format 1.0"),
+    (("goods_size",), float, "header: goods_size must be an integer"),
 ]
 
 
@@ -289,27 +296,53 @@ def _drop_buyer_receipts(rows):
     del next(r for r in rows if r.get("party") == "buyer")["receipts"]
 
 
+def _edit_first_e1_bytes(edit, *path):
+    def apply(rows):
+        node = next(r for r in rows if r.get("step") == "E1")["fields"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = edit(node[path[-1]])
+    return apply
+
+
+def _spaced(text):
+    return " ".join(text[i:i + 2] for i in range(0, len(text), 2))
+
+
+def _upper_buyer_payload(rows):
+    goods = next(r for r in rows if r.get("party") == "buyer")["goods"][0]
+    goods["payload"] = goods["payload"].upper()
+
+
 _NON_CANONICAL = "hex is not in canonical form"
 _ONE_PROBLEM_EDITS = [
-    ("receipt-0x", _edit_seller_receipt(lambda v: "0x" + v),
+    ("receipt-0x", "replay", _edit_seller_receipt(lambda v: "0x" + v),
      f"malformed evidence for seller: {_NON_CANONICAL}"),
-    ("receipt-upper", _edit_seller_receipt(lambda v: "A" + v.upper()),
+    ("receipt-upper", "replay", _edit_seller_receipt(lambda v: "A" + v.upper()),
      f"malformed evidence for seller: {_NON_CANONICAL}"),
-    ("receipt-leading-zero", _edit_seller_receipt(lambda v: "0" + v),
+    ("receipt-leading-zero", "replay", _edit_seller_receipt(lambda v: "0" + v),
      f"malformed evidence for seller: {_NON_CANONICAL}"),
-    ("blinded-key-0x", _edit_first_e1, f"malformed E1 record: {_NON_CANONICAL}"),
-    ("exponent-0x", _hex_exponent, f"malformed header: {_NON_CANONICAL}"),
-    ("modulus-underscore", _underscore_in_modulus, f"malformed header: {_NON_CANONICAL}"),
-    ("buyer-no-receipts", _drop_buyer_receipts, "malformed evidence for buyer: 'receipts'"),
+    ("blinded-key-0x", "replay", _edit_first_e1, f"malformed E1 record: {_NON_CANONICAL}"),
+    ("exponent-0x", "replay", _hex_exponent, f"malformed header: {_NON_CANONICAL}"),
+    ("modulus-underscore", "replay", _underscore_in_modulus,
+     f"malformed header: {_NON_CANONICAL}"),
+    ("buyer-no-receipts", "replay", _drop_buyer_receipts,
+     "malformed evidence for buyer: 'receipts'"),
+    ("ciphertext-upper", "replay", _edit_first_e1_bytes(str.upper, "ciphertext"),
+     f"malformed E1 record: {_NON_CANONICAL}"),
+    ("description-spaced", "replay", _edit_first_e1_bytes(_spaced, "cert", "description"),
+     f"malformed E1 record: {_NON_CANONICAL}"),
+    ("payload-upper", "honest", _upper_buyer_payload,
+     f"malformed evidence for buyer: {_NON_CANONICAL}"),
 ]
 
 
-@pytest.mark.parametrize("edit, expected", [c[1:] for c in _ONE_PROBLEM_EDITS],
+@pytest.mark.parametrize("mode, edit, expected", [c[1:] for c in _ONE_PROBLEM_EDITS],
                          ids=[c[0] for c in _ONE_PROBLEM_EDITS])
-def test_malformed_field_is_one_problem(edit, expected):
-    # Integers are accepted only in canonical lowercase hex, and a row that
-    # does not decode is reported once, not again by the verdict.
-    rows = _rows("replay")
+def test_malformed_field_is_one_problem(mode, edit, expected):
+    # Integers and byte strings are accepted only in canonical lowercase hex,
+    # and a row that does not decode is reported once, not again by the verdict.
+    rows = _rows(mode)
     edit(rows)
     assert verify_report(rows) == [expected]
 
