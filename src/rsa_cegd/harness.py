@@ -100,7 +100,7 @@ class RunConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("bits", "exponent", "seed", "goods_size"):
-            if type(getattr(self, name)) is not int:  # bool and float too
+            if type(getattr(self, name)) is not int:  # not isinstance: True is an int
                 raise TypeError(f"{name} must be an integer")
         if self.bits < 16:
             raise ValueError("bits must be >= 16")

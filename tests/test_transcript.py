@@ -278,11 +278,6 @@ def _edit_seller_receipt(edit):
     return apply
 
 
-def _edit_first_e1(rows):
-    e1 = next(r for r in rows if r.get("step") == "E1")
-    e1["fields"]["blinded_key"] = "0x" + e1["fields"]["blinded_key"]
-
-
 def _hex_exponent(rows):
     rows[0]["exponent"] = "0x10001"
 
@@ -296,7 +291,7 @@ def _drop_buyer_receipts(rows):
     del next(r for r in rows if r.get("party") == "buyer")["receipts"]
 
 
-def _edit_first_e1_bytes(edit, *path):
+def _edit_first_e1(edit, *path):
     def apply(rows):
         node = next(r for r in rows if r.get("step") == "E1")["fields"]
         for key in path[:-1]:
@@ -322,15 +317,16 @@ _ONE_PROBLEM_EDITS = [
      f"malformed evidence for seller: {_NON_CANONICAL}"),
     ("receipt-leading-zero", "replay", _edit_seller_receipt(lambda v: "0" + v),
      f"malformed evidence for seller: {_NON_CANONICAL}"),
-    ("blinded-key-0x", "replay", _edit_first_e1, f"malformed E1 record: {_NON_CANONICAL}"),
+    ("blinded-key-0x", "replay", _edit_first_e1(lambda v: "0x" + v, "blinded_key"),
+     f"malformed E1 record: {_NON_CANONICAL}"),
     ("exponent-0x", "replay", _hex_exponent, f"malformed header: {_NON_CANONICAL}"),
     ("modulus-underscore", "replay", _underscore_in_modulus,
      f"malformed header: {_NON_CANONICAL}"),
     ("buyer-no-receipts", "replay", _drop_buyer_receipts,
      "malformed evidence for buyer: 'receipts'"),
-    ("ciphertext-upper", "replay", _edit_first_e1_bytes(str.upper, "ciphertext"),
+    ("ciphertext-upper", "replay", _edit_first_e1(str.upper, "ciphertext"),
      f"malformed E1 record: {_NON_CANONICAL}"),
-    ("description-spaced", "replay", _edit_first_e1_bytes(_spaced, "cert", "description"),
+    ("description-spaced", "replay", _edit_first_e1(_spaced, "cert", "description"),
      f"malformed E1 record: {_NON_CANONICAL}"),
     ("payload-upper", "honest", _upper_buyer_payload,
      f"malformed evidence for buyer: {_NON_CANONICAL}"),
