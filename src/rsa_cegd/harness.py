@@ -360,11 +360,12 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
     copy verifies bit-identically while the seller holds no receipt from
     the outsider."""
     world = build_world(config)
-    _, _, offer = _exchange(world, 1)
+    # Only the hash is kept: the offer's ciphertext, as large as the goods,
+    # is freed before the evidence rows are encoded.
+    goods_hash = _exchange(world, 1)[2].cert.goods_hash
     _expect(evaluate_fairness(world.ledgers).status == FAIR,
             "world unfair before the forward")
 
-    goods_hash = offer.cert.goods_hash
     buyer_ledger = world.ledgers[BUYER]
     proof = buyer_ledger.origin_proofs[SELLER, goods_hash]
     _expect(verify_origin_proof(proof.value, goods_hash, world.registry[SELLER]),

@@ -199,11 +199,18 @@ def report_lines(header: dict, records: list, evidence: dict,
     return [json.dumps(row, separators=(",", ":")) for row in rows]
 
 
+# The text layer takes an ASCII string of up to its chunk size (8192) as it
+# is; a longer one it first encodes into a bytes copy.
+_WRITE_PIECE = 8192
+
+
 def write_report_lines(lines: list[str], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for line in lines:
-            # Two writes: `line + "\n"` would copy each multi-MiB goods line.
-            handle.write(line)
+            # In pieces, and the newline apart: a multi-MiB goods line is
+            # written without a copy of it.
+            for start in range(0, len(line), _WRITE_PIECE):
+                handle.write(line[start:start + _WRITE_PIECE])
             handle.write("\n")
 
 
