@@ -151,33 +151,60 @@ _PRIMORIAL = prod(_SMALL_PRIMES)
 # Fixed Miller-Rabin bases: the first 40 primes. Deterministic, so primality
 # answers never depend on RNG state.
 _MR_BASES = _SMALL_PRIMES[:40]
-# One-slot memo (see is_probable_prime). It only ever holds a value the full
-# test accepted, so even a slot written by another thread answers correctly.
-_last_proven = 0
+# psi_13, the least strong pseudoprime to the first 13 prime bases: below it
+# those 13 bases give the exact answer.
+_PSI_13 = 3317044064679887385961981
+# HAC Table 4.4 (Damgard, Landrock, Pomerance 1993): (least bit length,
+# rounds) that keep the error below 2**-80 for a randomly drawn candidate.
+_DRAWN_ROUNDS = ((1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
+                 (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27))
+# One-slot memo (see is_probable_prime): the last prime a sampler drew and
+# accepted. Only a random draw ever gets in, so even a slot written by
+# another thread holds a value the random-candidate bound covers.
+_last_drawn = 0
 
 
-def is_probable_prime(candidate: int) -> bool:
+def _mr_rounds(candidate: int, drawn: bool) -> int:
+    if candidate < _PSI_13:
+        return 13
+    if drawn:
+        bits = candidate.bit_length()
+        for least, rounds in _DRAWN_ROUNDS:
+            if bits >= least:
+                return rounds
+    return 40
+
+
+def is_probable_prime(candidate: int, _drawn: bool = False) -> bool:
     """Primality by small-prime lookup, a primorial gcd, then Miller-Rabin.
 
     Values below the sieve limit (2048) are looked up in the set of primes
     below it. Larger values sharing a factor with the product of those
     primes are composite; one with no such factor and below 2048**2 is
-    prime. Everything else gets 40 Miller-Rabin rounds with the first 40
-    primes as bases. Those bases make the test exact below 3.3 * 10**24
-    (the first 13 already suffice there), so every answer in that range is
-    the true one; above it a composite could only pass by being a strong
-    pseudoprime to all 40 bases.
+    prime. Everything else gets Miller-Rabin with the first t of 40 fixed
+    prime bases, where t depends on where the candidate came from:
 
-    The last value the 40 rounds accepted is kept in one slot and answered
-    at once when asked again, as `_check_randomizer` does for the prime
-    `random_prime_below` has just drawn. The slot holds one proven prime, so
-    answers and transcripts are the same as without it, and nothing carries
-    across runs but that one value.
+    - below psi_13 = 3,317,044,064,679,887,385,961,981, t = 13 for any
+      caller; those bases are exact there, so the answer is the true one;
+    - a candidate `random_prime_below` or `_sample_prime_bits` drew from the
+      run's own RNG (the private `_drawn` flag) gets the rounds of HAC Table
+      4.4 for its bit length, which keep the error for a random candidate
+      below 2**-80: 12 at 256 bits, 6 at 512, 3 at 1024, 2 at 2048 (40
+      below 100 bits);
+    - every other value, such as one a caller supplies, gets all 40 bases.
+      Composites can be built to pass chosen bases (Arnault 1995), so the
+      random-candidate bound does not cover them.
+
+    The last prime a sampler accepted is kept in one slot and answered at
+    once when asked again, as `_check_randomizer` does for the prime
+    `random_prime_below` has just drawn: a value equal to the slot is one
+    the run drew at random. Answers and transcripts are the same as without
+    the slot, and nothing carries across runs but that one value.
     """
-    global _last_proven
+    global _last_drawn
     if candidate < _SIEVE_LIMIT:
         return candidate in _SMALL_PRIME_SET
-    if candidate == _last_proven:
+    if candidate == _last_drawn:
         return True
     if gcd(candidate, _PRIMORIAL) != 1:
         return False
@@ -188,7 +215,7 @@ def is_probable_prime(candidate: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for base in _MR_BASES:
+    for base in _MR_BASES[:_mr_rounds(candidate, _drawn)]:
         x = pow(base, d, candidate)
         if x == 1 or x == candidate - 1:
             continue
@@ -198,7 +225,8 @@ def is_probable_prime(candidate: int) -> bool:
                 break
         else:
             return False
-    _last_proven = candidate
+    if _drawn:
+        _last_drawn = candidate
     return True
 
 
@@ -212,7 +240,7 @@ def random_prime_below(rng: random.Random, bound: int, coprime_to=()) -> int:
             candidate |= 1
         if candidate >= bound:
             continue
-        if not is_probable_prime(candidate):
+        if not is_probable_prime(candidate, _drawn=True):
             continue
         if any(gcd(candidate, m) != 1 for m in coprime_to):
             continue
@@ -273,7 +301,7 @@ def _sample_prime_bits(rng: random.Random, nbits: int) -> int:
     # requested modulus width.
     for _ in range(_SAMPLE_ATTEMPTS):
         candidate = rng.getrandbits(nbits) | (1 << (nbits - 1)) | (1 << (nbits - 2)) | 1
-        if is_probable_prime(candidate):
+        if is_probable_prime(candidate, _drawn=True):
             return candidate
     raise GenerationFailure(f"no {nbits}-bit prime found")
 

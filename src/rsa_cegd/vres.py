@@ -98,7 +98,10 @@ def _control_mask(enc_randomizer: int, recovery_modulus: int) -> int:
 def _check_randomizer(randomizer: int, *moduli: int) -> None:
     if randomizer <= 1 or randomizer >= min(moduli):
         raise InvalidRandomizer("randomizer out of range")
-    # Answered from is_probable_prime's one-slot memo right after random_prime_below.
+    # A randomizer equal to is_probable_prime's one-slot memo is a prime the
+    # run drew at random (random_prime_below has just drawn it) and is
+    # answered at once; any other value is tested as a caller's, with all 40
+    # bases.
     if not is_probable_prime(randomizer):
         raise InvalidRandomizer("randomizer must be prime")
     for modulus in moduli:

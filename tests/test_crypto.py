@@ -3,6 +3,7 @@ hash-to-integer, and the keystream cipher."""
 
 import hashlib
 import random
+from functools import partial
 from math import isqrt
 
 import pytest
@@ -323,6 +324,115 @@ def test_primality_matches_reference_on_random_values():
     assert_same_primality(rng.getrandbits(256) for _ in range(2000))
 
 
+def assert_same_primality_drawn(values):
+    for n in values:
+        assert is_probable_prime(n, _drawn=True) == reference_is_probable_prime(n), n
+
+
+def test_drawn_primality_matches_reference_on_random_odd_values():
+    # The samplers' path runs HAC Table 4.4's rounds instead of 40; on random
+    # candidates it must give the 40-round answer.
+    rng = random.Random(2025)
+    for bits in (256, 512):
+        assert_same_primality_drawn(rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+                                    for _ in range(2000))
+
+
+def test_drawn_primality_matches_reference_on_golden_runs(monkeypatch):
+    # Every candidate the golden-digest configurations draw, primes and
+    # composites, gets the 40-round answer on the samplers' path.
+    from test_digests import GOLDEN, GOLDEN_LARGE_GOODS, LARGE_GOODS, transcript_digest
+
+    drawn = []
+
+    def recording(candidate, _drawn=False):
+        if _drawn:
+            drawn.append(candidate)
+        return is_probable_prime(candidate, _drawn)
+
+    monkeypatch.setattr(crypto_mod, "is_probable_prime", recording)
+    for key in GOLDEN:
+        assert transcript_digest(*key) == GOLDEN[key]
+    for key in GOLDEN_LARGE_GOODS:
+        assert transcript_digest(*key, goods_size=LARGE_GOODS) == GOLDEN_LARGE_GOODS[key]
+    monkeypatch.undo()
+    primes = [n for n in drawn if reference_is_probable_prime(n)]
+    assert len(primes) > 100
+    assert_same_primality_drawn(drawn)
+
+
+class _FixedRng:
+    """Draws one fixed value, so a sampler's first candidate is known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def getrandbits(self, bits):
+        return self.value
+
+    def randrange(self, start, stop):
+        return self.value
+
+
+def _bases_used(monkeypatch, test, value):
+    """The Miller-Rabin bases `test` tries on `value`, which must be prime,
+    counted by a `pow` put into crypto's globals; the memo is cleared first."""
+    bases = []
+
+    def counting_pow(base, exponent, modulus):
+        if exponent != 2:
+            bases.append(base)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(crypto_mod, "_last_drawn", 0)
+    monkeypatch.setattr(crypto_mod, "pow", counting_pow, raising=False)
+    assert test(value) in (True, value)
+    monkeypatch.delattr(crypto_mod, "pow")
+    assert bases == crypto_mod._MR_BASES[:len(bases)]
+    return len(bases)
+
+
+# A prime just below 2**bits, with the top two bits set, for each bit length.
+_TOP_PRIMES = {256: (1 << 256) - 189, 512: (1 << 512) - 569,
+               1024: (1 << 1024) - 105, 2048: (1 << 2048) - 1942289}
+
+
+@pytest.mark.parametrize("bits, rounds", [(256, 12), (512, 6), (1024, 3), (2048, 2)])
+def test_drawn_candidates_get_hac_rounds(monkeypatch, bits, rounds):
+    prime = _TOP_PRIMES[bits]
+
+    def keygen_sampler(value):
+        return crypto_mod._sample_prime_bits(_FixedRng(value), bits)
+
+    def randomizer_sampler(value):
+        return random_prime_below(_FixedRng(value), value + 2)
+
+    assert _bases_used(monkeypatch, keygen_sampler, prime) == rounds
+    assert _bases_used(monkeypatch, randomizer_sampler, prime) == rounds
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_supplied_values_get_40_rounds(monkeypatch, bits):
+    prime = _TOP_PRIMES[bits]
+    assert _bases_used(monkeypatch, is_probable_prime, prime) == 40
+    # Once a sampler has drawn the value, the memo answers it without a round.
+    random_prime_below(_FixedRng(prime), prime + 2)
+    assert crypto_mod._last_drawn == prime
+    monkeypatch.setattr(crypto_mod, "pow", None, raising=False)  # any round would raise
+    assert is_probable_prime(prime)
+
+
+def test_exact_range_gets_13_rounds(monkeypatch):
+    below = (1 << 61) - 1
+    above = (1 << 89) - 1  # past psi_13 but under Table 4.4's 100 bits
+    assert below < crypto_mod._PSI_13 < above
+    drawn = partial(is_probable_prime, _drawn=True)
+    assert _bases_used(monkeypatch, is_probable_prime, below) == 13
+    assert _bases_used(monkeypatch, drawn, below) == 13
+    assert _bases_used(monkeypatch, is_probable_prime, above) == 40
+    assert _bases_used(monkeypatch, drawn, above) == 40
+
+
 def test_memo_does_not_pass_composite_randomizer():
     owner = rsa_keygen_with_exponent(256, 65537, seed=9)
     recovery = rsa_keygen_with_exponent(256, 65537, seed=10)
@@ -331,7 +441,7 @@ def test_memo_does_not_pass_composite_randomizer():
     composite = random_prime_below(rng, root) * random_prime_below(rng, root)
     assert 1 < composite < min(owner.n, recovery.n)
     randomizer = random_prime_below(rng, owner.n, coprime_to=(owner.n,))
-    assert crypto_mod._last_proven == randomizer
+    assert crypto_mod._last_drawn == randomizer
     with pytest.raises(InvalidRandomizer, match="randomizer must be prime"):
         wrap_key(12345, composite, owner)
     with pytest.raises(InvalidRandomizer, match="randomizer must be prime"):
