@@ -407,6 +407,17 @@ def run_mode(config: RunConfig) -> AttackReport:
 # a value of the wrong JSON type, or text that is not hex.
 _MALFORMED = (KeyError, TypeError, ValueError)
 
+# Record type -> the keys its records have; any other key is a problem. A
+# message's fields are checked by its codec, the verdict record by comparing
+# it whole with the recomputed one.
+_RECORD_KEYS = {
+    "header": {"type", "format", "mode", "bits", "exponent", "seed", "goods_size",
+               "parties", "registry", "ca", "arbiter"},
+    "message": {"type", "step", "session", "sender", "recipient", "fields"},
+    "milestone": {"type", "session", "label"},
+    "evidence": {"type", "party", "goods", "receipts", "origin_proofs"},
+}
+
 
 class _Unchecked(Exception):
     """The message depends on an earlier one that failed its own check."""
@@ -421,8 +432,8 @@ def verify_report(rows: list[dict]) -> list[str]:
     try:
         registry = {pid: transcript.key_from_fields(entry)
                     for pid, entry in header["registry"].items()}
-        ca_pub = transcript.key_from_fields(header["ca"])
-        arbiter = (header["arbiter"]["id"], transcript.key_from_fields(header["arbiter"]))
+        ca_pub = _principal_key(header["ca"])
+        arbiter = (header["arbiter"]["id"], _principal_key(header["arbiter"]))
         exponent = hex_to_int(header["exponent"])
     except (*_MALFORMED, AttributeError) as exc:  # registry not an object
         return [f"malformed header: {exc}"]
@@ -435,6 +446,8 @@ def verify_report(rows: list[dict]) -> list[str]:
     logged: dict[tuple, tuple | None] = {}
     evidence_rows: dict[str, dict] = {}
     milestones: list[tuple] = []
+    # A milestone without a valid session has no place in the sequence.
+    milestones_checkable = True
     evidence_seen = False
     verdict_row = None
 
@@ -447,6 +460,16 @@ def verify_report(rows: list[dict]) -> list[str]:
             problems.append(f"record {number}: record after the verdict")
         elif evidence_seen and kind in ("message", "milestone"):
             problems.append(f"record {number}: {kind} record after the evidence")
+        if kind in ("message", "milestone", "evidence"):
+            problems.extend(f"record {number}: unknown key {key!r}"
+                            for key in sorted(row.keys() - _RECORD_KEYS[kind]))
+        if kind in ("message", "milestone"):
+            session = row.get("session")
+            if type(session) is not int or session < 1:  # not isinstance: True is an int
+                problems.append(f"record {number}: {kind} session is not a positive integer")
+                if kind == "milestone":
+                    milestones_checkable = False
+                continue
         if kind == "message":
             try:
                 _check_message(row, logged, registry, ca_pub, arbiter,
@@ -493,7 +516,7 @@ def verify_report(rows: list[dict]) -> list[str]:
             _check_evidence(party, ledgers[party], registry, problems)
 
     mode = header.get("mode")
-    if mode in MODES and milestones != MILESTONES[mode]:
+    if mode in MODES and milestones_checkable and milestones != MILESTONES[mode]:
         problems.append(f"header: mode {mode!r} does not match the milestones")
 
     if verdict_row is None:
@@ -512,6 +535,8 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
     """The header's own fields against each other; `keys` holds a (name, key)
     pair per public key the header lists. The run configuration passes the
     checks a run's arguments pass; only the seed's value needs a re-run."""
+    for key in sorted(header.keys() - _RECORD_KEYS["header"]):
+        problems.append(f"header: unknown key {key!r}")
     if type(header.get("format")) is not int or header["format"] != 1:
         problems.append(f"header: unsupported format {header.get('format')!r}")
     try:
@@ -526,6 +551,11 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
             problems.append(f"header: {name} key exponent is not the header's exponent")
         if pub.n.bit_length() != header.get("bits"):
             problems.append(f"header: {name} key modulus is not {header.get('bits')!r} bits")
+
+
+def _principal_key(entry: dict) -> PublicKey:
+    """The public key of the header's "ca" or "arbiter" entry, {id, e, n}."""
+    return transcript.key_from_fields({k: v for k, v in entry.items() if k != "id"})
 
 
 def _route(row: dict) -> tuple:

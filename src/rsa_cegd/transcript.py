@@ -83,13 +83,15 @@ def _codec(cls, layout):
     """(encode, decode) between `cls` and its wire fields. `layout` lists
     (wire name, kind[, "outer.attr"]) in wire order; the path names a field
     of a nested dataclass that the wire flattens. Decoding fields of the
-    wrong shape raises KeyError, TypeError or ValueError."""
+    wrong shape, or with a key the layout does not list, raises KeyError,
+    TypeError or ValueError."""
     getters, flat, nested = [], [], {}
     for name, (to_wire, from_wire), *path in layout:
         path = path[0] if path else name
         getters.append((name, to_wire, attrgetter(path)))
         outer, _, attr = path.rpartition(".")
         (nested.setdefault(outer, []) if outer else flat).append((name, from_wire, attr))
+    names = {name for name, _, _ in getters}
     types = get_type_hints(cls)
 
     def encode(obj) -> dict:
@@ -100,6 +102,9 @@ def _codec(cls, layout):
         for outer, group in nested.items():
             values[outer] = types[outer](
                 **{attr: from_wire(fields[name]) for name, from_wire, attr in group})
+        # Every listed key was read above, so only an unlisted one adds length.
+        if len(fields) != len(getters):
+            raise ValueError(f"unknown fields {sorted(fields.keys() - names)}")
         return cls(**values)
 
     return encode, decode
@@ -182,6 +187,8 @@ def ledger_from_record(row: dict) -> EvidenceLedger:
     ledger = EvidenceLedger()
     ledger.goods = {hex_to_int(g["goods_hash"]): _hex_bytes(g["payload"])
                     for g in row["goods"]}
+    if any(len(g) != 2 for g in row["goods"]):
+        raise ValueError("a goods item has unknown fields")
     ledger.receipts = {(r.signer, r.goods_hash): r
                        for r in map(_RECEIPT[1], row["receipts"])}
     ledger.origin_proofs = {(p.originator, p.goods_hash): p

@@ -309,6 +309,18 @@ def _upper_buyer_payload(rows):
     goods["payload"] = goods["payload"].upper()
 
 
+def _add_key(*path):
+    """Adds the key "extra" to the node `path` leads to: a record found by
+    the (key, value) pair path[0], then keys and list indices."""
+    def apply(rows):
+        key, value = path[0]
+        node = next(r for r in rows if r.get(key) == value)
+        for step in path[1:]:
+            node = node[step]
+        node["extra"] = 1
+    return apply
+
+
 _NON_CANONICAL = "hex is not in canonical form"
 _ONE_PROBLEM_EDITS = [
     ("receipt-0x", "replay", _edit_seller_receipt(lambda v: "0x" + v),
@@ -330,6 +342,30 @@ _ONE_PROBLEM_EDITS = [
      f"malformed E1 record: {_NON_CANONICAL}"),
     ("payload-upper", "honest", _upper_buyer_payload,
      f"malformed evidence for buyer: {_NON_CANONICAL}"),
+    ("e1-fields-extra", "replay", _add_key(("step", "E1"), "fields"),
+     "malformed E1 record: unknown fields ['extra']"),
+    ("e1-cert-extra", "replay", _add_key(("step", "E1"), "fields", "cert"),
+     "malformed E1 record: unknown fields ['extra']"),
+    ("e2-recovery-cert-extra", "replay", _add_key(("step", "E2"), "fields", "recovery_cert"),
+     "malformed E2 record: unknown fields ['extra']"),
+    ("r1-fields-extra", "replay", _add_key(("step", "R1"), "fields"),
+     "malformed R1 record: unknown fields ['extra']"),
+    ("header-extra", "replay", _add_key(("type", "header")), "header: unknown key 'extra'"),
+    ("registry-key-extra", "replay", _add_key(("type", "header"), "registry", "buyer"),
+     "malformed header: unknown fields ['extra']"),
+    ("ca-key-extra", "replay", _add_key(("type", "header"), "ca"),
+     "malformed header: unknown fields ['extra']"),
+    ("arbiter-key-extra", "replay", _add_key(("type", "header"), "arbiter"),
+     "malformed header: unknown fields ['extra']"),
+    ("message-extra", "replay", _add_key(("step", "E1")), "record 2: unknown key 'extra'"),
+    ("milestone-extra", "replay", _add_key(("type", "milestone")),
+     "record 4: unknown key 'extra'"),
+    ("evidence-extra", "replay", _add_key(("party", "seller")),
+     "record 17: unknown key 'extra'"),
+    ("receipt-item-extra", "replay", _add_key(("party", "seller"), "receipts", 0),
+     "malformed evidence for seller: unknown fields ['extra']"),
+    ("goods-item-extra", "honest", _add_key(("party", "buyer"), "goods", 0),
+     "malformed evidence for buyer: a goods item has unknown fields"),
 ]
 
 
@@ -341,6 +377,19 @@ def test_malformed_field_is_one_problem(mode, edit, expected):
     rows = _rows(mode)
     edit(rows)
     assert verify_report(rows) == [expected]
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1", 0])
+@pytest.mark.parametrize("mode", ["honest", "replay", "eoo-forward"])
+def test_session_must_be_positive_int(mode, value):
+    # 1.0 and True compare equal to 1, so only the type tells them apart.
+    rows = _rows(mode)
+    expected = []
+    for number, row in enumerate(rows, start=1):
+        if row["type"] in ("message", "milestone") and row["session"] == 1:
+            row["session"] = value
+            expected.append(f"record {number}: {row['type']} session is not a positive integer")
+    assert verify_report(rows) == expected
 
 
 # --- the header's mode against the milestones -------------------------------------
