@@ -460,7 +460,8 @@ def verify_report(rows: list[dict]) -> list[str]:
             problems.append(f"record {number}: record after the verdict")
         elif evidence_seen and kind in ("message", "milestone"):
             problems.append(f"record {number}: {kind} record after the evidence")
-        if kind in ("message", "milestone", "evidence"):
+        if (kind in ("message", "milestone", "evidence")  # kind may be unhashable
+                and not row.keys() <= _RECORD_KEYS[kind]):
             problems.extend(f"record {number}: unknown key {key!r}"
                             for key in sorted(row.keys() - _RECORD_KEYS[kind]))
         if kind in ("message", "milestone"):
