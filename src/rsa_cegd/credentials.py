@@ -21,6 +21,8 @@ from .crypto import (
     mod_inv,
     mod_pow,
     rsa_keygen_with_exponent,
+    rsa_sign,
+    rsa_verify,
     sym_encrypt,
 )
 
@@ -87,7 +89,7 @@ def issue_goods_cert(ca: Identity, goods: bytes, description: bytes,
     g_hash = hash_goods(goods)
     enc_key = mod_pow(key, owner_pub.e, owner_pub.n)
     digest = _cert_digest(description, ct_hash, g_hash, enc_key, ca.keys.n)
-    signature = mod_pow(digest, ca.keys.d, ca.keys.n)
+    signature = rsa_sign(ca.keys, digest)
     return GoodsCertificate(description, ct_hash, g_hash, enc_key, signature), ciphertext
 
 
@@ -97,7 +99,7 @@ def check_goods_cert(cert: GoodsCertificate, ciphertext: bytes,
     else a stable reason code."""
     digest = _cert_digest(cert.description, cert.ciphertext_hash,
                           cert.goods_hash, cert.enc_key, ca_pub.n)
-    if mod_pow(cert.signature, ca_pub.e, ca_pub.n) != digest:
+    if not rsa_verify(ca_pub, cert.signature, digest):
         return "bad-cert-signature"
     if hash_ciphertext(ciphertext) != cert.ciphertext_hash:
         return "hd-mismatch"
@@ -140,14 +142,13 @@ def issue_recoverable_cert(ttp: Identity, subject_exponent: int,
             continue
         masked = (mod_inv(mask, pair.n) * pair.d) % pair.n
         digest = _recovery_cert_digest(pair.public, masked, ttp.keys.n)
-        signature = mod_pow(digest, ttp.keys.d, ttp.keys.n)
-        return RecoverableCert(pair.public, masked, signature), pair
+        return RecoverableCert(pair.public, masked, rsa_sign(ttp.keys, digest)), pair
     raise InvalidKey("could not find a keypair with an invertible mask")
 
 
 def verify_recoverable_cert(cert: RecoverableCert, ttp_pub: PublicKey) -> bool:
     digest = _recovery_cert_digest(cert.pub, cert.masked_exponent, ttp_pub.n)
-    return mod_pow(cert.signature, ttp_pub.e, ttp_pub.n) == digest
+    return rsa_verify(ttp_pub, cert.signature, digest)
 
 
 def recover_private_exponent(ttp: Identity, cert: RecoverableCert) -> int:

@@ -321,6 +321,9 @@ def rsa_keygen_with_exponent(bits: int, exponent: int, seed: int) -> RsaKeyPair:
     if seed < 0:
         # random.Random drops the sign, so -s would give the keypair of s.
         raise ValueError("seed must be >= 0")
+    if exponent >= 1 << bits:
+        # phi(n) < n < 2^bits, so no key of this width has e < phi(n).
+        raise GenerationFailure(f"no {bits}-bit keypair admits exponent {exponent}")
     rng = random.Random(seed)
     p_bits = bits - bits // 2
     q_bits = bits // 2
@@ -338,6 +341,18 @@ def rsa_keygen_with_exponent(bits: int, exponent: int, seed: int) -> RsaKeyPair:
         assert pair.n.bit_length() == bits
         return pair
     raise GenerationFailure(f"no {bits}-bit keypair admits exponent {exponent}")
+
+
+def rsa_sign(keys: RsaKeyPair, message: int) -> int:
+    """Textbook RSA signature: (message mod n)^d mod n."""
+    return mod_pow(message % keys.n, keys.d, keys.n)
+
+
+def rsa_verify(pub: PublicKey, signature: int, message: int) -> bool:
+    """Whether signature^e mod n equals message mod n, for a signature below
+    n (RFC 8017 5.2.2, RSAVP1 step 1): without the bound, signature + n
+    would verify as well."""
+    return signature < pub.n and mod_pow(signature, pub.e, pub.n) == message % pub.n
 
 
 def derive_seed(master: int, label: str) -> int:

@@ -39,6 +39,7 @@ from .crypto import (
     int_to_hex,
     mod_pow,
     rsa_keygen_with_exponent,
+    rsa_verify,
 )
 from .protocol import (
     ArbiterService,
@@ -52,7 +53,6 @@ from .protocol import (
     open_goods,
     open_receipt,
 )
-from .vres import verify_origin_proof, verify_receipt
 
 SELLER = "seller"
 BUYER = "buyer"
@@ -368,7 +368,7 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
 
     buyer_ledger = world.ledgers[BUYER]
     proof = buyer_ledger.origin_proofs[SELLER, goods_hash]
-    _expect(verify_origin_proof(proof.value, goods_hash, world.registry[SELLER]),
+    _expect(rsa_verify(world.registry[SELLER], proof.value, goods_hash),
             "forwarded origin proof does not verify")
     outsider_ledger = world.ledgers[OUTSIDER]
     outsider_ledger.goods[goods_hash] = buyer_ledger.goods[goods_hash]
@@ -634,15 +634,11 @@ def _check_evidence(party: str, ledger: EvidenceLedger, registry,
     for goods_hash, payload in ledger.goods.items():
         if hash_goods(payload) != goods_hash:
             flag("goods payload does not match its hash")
-    for receipt in ledger.receipts.values():
-        signer_pub = registry.get(receipt.signer)
-        if signer_pub is None:
-            flag(f"receipt from unknown signer {receipt.signer!r}")
-        elif not verify_receipt(receipt, signer_pub):
-            flag("receipt does not verify")
-    for proof in ledger.origin_proofs.values():
-        originator_pub = registry.get(proof.originator)
-        if originator_pub is None:
-            flag(f"origin proof from unknown originator {proof.originator!r}")
-        elif not verify_origin_proof(proof.value, proof.goods_hash, originator_pub):
-            flag("origin proof does not verify")
+    for what, role, items in (("receipt", "signer", ledger.receipts),
+                              ("origin proof", "originator", ledger.origin_proofs)):
+        for item in items.values():
+            signer_pub = registry.get(item.signer)
+            if signer_pub is None:
+                flag(f"{what} from unknown {role} {item.signer!r}")
+            elif not rsa_verify(signer_pub, item.value, item.goods_hash):
+                flag(f"{what} does not verify")

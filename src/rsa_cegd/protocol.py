@@ -50,22 +50,21 @@ from .crypto import (
     mod_pow,
     random_prime_below,
     random_unit,
+    rsa_sign,
+    rsa_verify,
     sym_decrypt,
 )
 from .vres import (
-    OriginProof,
-    Receipt,
     RecoveryMismatch,
+    Signature,
     VresTriple,
     derive_enc_randomizer,
     generate_vres,
     make_auth_token,
-    make_origin_proof,
     recover_randomizer,
     recover_receipt,
     unwrap_key,
     verify_auth_token,
-    verify_origin_proof,
     verify_vres,
     wrap_key,
 )
@@ -155,7 +154,7 @@ def check_offer(offer: GoodsOffer, ca_pub: PublicKey, sender_pub: PublicKey) -> 
     problem = check_goods_cert(offer.cert, offer.ciphertext, ca_pub)
     if problem is not None:
         raise Reject(problem)
-    if not verify_origin_proof(offer.origin_proof, offer.cert.goods_hash, sender_pub):
+    if not rsa_verify(sender_pub, offer.origin_proof, offer.cert.goods_hash):
         raise Reject("eoo-mismatch")
     try:
         return derive_enc_randomizer(offer.blinded_key, offer.cert.enc_key, sender_pub)
@@ -193,7 +192,7 @@ def open_goods(offer: GoodsOffer, randomizer: int, sender_pub: PublicKey) -> byt
 
 
 def open_receipt(msg: EncryptedReceipt, randomizer: int, signer_pub: PublicKey,
-                 goods_hash: int, signer: str) -> Receipt:
+                 goods_hash: int, signer: str) -> Signature:
     """E4 and R2: open the triple with the randomizer; returns the receipt."""
     combined = signer_pub.n * msg.recovery_cert.pub.n
     if mod_pow(randomizer, signer_pub.e, combined) != msg.vres.enc_randomizer:
@@ -238,8 +237,8 @@ class EvidenceLedger:
 
     def __init__(self):
         self.goods: dict[int, bytes] = {}
-        self.receipts: dict[tuple[str, int], Receipt] = {}
-        self.origin_proofs: dict[tuple[str, int], OriginProof] = {}
+        self.receipts: dict[tuple[str, int], Signature] = {}
+        self.origin_proofs: dict[tuple[str, int], Signature] = {}
 
 
 def _dangle_on_reject(session, check, *args):
@@ -287,7 +286,7 @@ class SenderSession:
             ciphertext=ciphertext,
             cert=cert,
             blinded_key=wrapped.blinded_key,
-            origin_proof=make_origin_proof(keys, cert.goods_hash),
+            origin_proof=rsa_sign(keys, cert.goods_hash),
         )
 
     def on_encrypted_receipt(self, msg: EncryptedReceipt,
@@ -386,7 +385,7 @@ class ReceiverSession:
         payload = _dangle_on_reject(self, open_goods, self.offer, randomizer, sender_pub)
         goods_hash = self.offer.cert.goods_hash
         self.ledger.goods[goods_hash] = payload
-        self.ledger.origin_proofs[self.counterparty, goods_hash] = OriginProof(
+        self.ledger.origin_proofs[self.counterparty, goods_hash] = Signature(
             self.offer.origin_proof, goods_hash, self.counterparty)
         self.phase = ReceiverPhase.DONE
 

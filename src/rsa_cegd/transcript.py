@@ -55,7 +55,7 @@ from .protocol import (
     RecoveredReceiptKey,
     RecoveryRequest,
 )
-from .vres import OriginProof, Receipt
+from .vres import Signature
 
 
 def _name(value) -> str:
@@ -81,8 +81,9 @@ _NAME = (str, _name)
 
 def _codec(cls, layout):
     """(encode, decode) between `cls` and its wire fields. `layout` lists
-    (wire name, kind[, "outer.attr"]) in wire order; the path names a field
-    of a nested dataclass that the wire flattens. Decoding fields of the
+    (wire name, kind[, path]) in wire order; a path "outer.attr" names a
+    field of a nested dataclass that the wire flattens, and a plain "attr"
+    the attribute that a renamed wire field holds. Decoding fields of the
     wrong shape, or with a key the layout does not list, raises KeyError,
     TypeError or ValueError."""
     getters, flat, nested = [], [], {}
@@ -118,10 +119,10 @@ _RECOVERY_CERT = _codec(RecoverableCert, [
     ("masked_exponent", _HEX_INT), ("signature", _HEX_INT)])
 _RANDOMIZER = [("randomizer", _HEX_INT)]
 key_fields, key_from_fields = _codec(PublicKey, [("e", _HEX_INT), ("n", _HEX_INT)])
-_RECEIPT = _codec(Receipt, [
+_RECEIPT = _codec(Signature, [
     ("signer", _NAME), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])
-_ORIGIN_PROOF = _codec(OriginProof, [
-    ("originator", _NAME), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])
+_ORIGIN_PROOF = _codec(Signature, [
+    ("originator", _NAME, "signer"), ("goods_hash", _HEX_INT), ("value", _HEX_INT)])
 
 # Step tag -> (encode, decode) of its message body.
 BODIES = {cls.STEP: _codec(cls, layout) for cls, layout in [
@@ -191,7 +192,7 @@ def ledger_from_record(row: dict) -> EvidenceLedger:
         raise ValueError("a goods item has unknown fields")
     ledger.receipts = {(r.signer, r.goods_hash): r
                        for r in map(_RECEIPT[1], row["receipts"])}
-    ledger.origin_proofs = {(p.originator, p.goods_hash): p
+    ledger.origin_proofs = {(p.signer, p.goods_hash): p
                             for p in map(_ORIGIN_PROOF[1], row["origin_proofs"])}
     if any(len(getattr(ledger, key)) != len(row[key]) for key in keys):
         raise ValueError("evidence lists an item twice")

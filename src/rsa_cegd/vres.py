@@ -18,10 +18,10 @@ makes the blinding factor reappear as enc_randomizer's residue,
     blinded_receipt^e  = r^e * h^(d*e)       = enc_randomizer * h   (mod n)
     control^e          = r^e * m(y)^(d'*e)   = enc_randomizer * m(y) (mod n')
 
-so the two checks are "blinded_receipt^e == (y mod n) * h mod n" and
-"control^e == (y mod n') * m(y) mod n'" with y = enc_randomizer, plus the
-range bound y < n * n'. The same blinding factor must satisfy both, which
-is what the control value certifies.
+so the two checks verify blinded_receipt as an RSA signature on y * h
+under (e, n) and control as one on y * m(y) under (e, n'), with
+y = enc_randomizer, plus the range bound y < n * n'. The same blinding
+factor must satisfy both, which is what the control value certifies.
 
 Cross-decryption. Because both key pairs share the public exponent, the
 residues of y are r^e mod n and r^e mod n' simultaneously, so either
@@ -43,6 +43,8 @@ from .crypto import (
     is_probable_prime,
     mod_inv,
     mod_pow,
+    rsa_sign,
+    rsa_verify,
 )
 
 
@@ -72,22 +74,15 @@ class VresTriple:
 
 
 @dataclass(frozen=True)
-class Receipt:
-    """The buyer's signature on the goods hash, plus who signed it."""
-    value: int
-    goods_hash: int
-    signer: str
-
-
-@dataclass(frozen=True)
-class OriginProof:
-    """The seller's signature on the goods hash, plus who originated it.
+class Signature:
+    """A party's signature on the goods hash, plus who signed it: the
+    buyer's receipt or the seller's origin proof.
 
     Deliberately identity-free on the wire: nothing inside `value` binds
     the receiver or the protocol run, so the holder can hand it to anyone."""
     value: int
     goods_hash: int
-    originator: str
+    signer: str
 
 
 def _control_mask(enc_randomizer: int, recovery_modulus: int) -> int:
@@ -136,10 +131,9 @@ def generate_vres(goods_hash: int, signer: RsaKeyPair,
     signer's public exponent."""
     _check_randomizer(randomizer, signer.n, recovery.n)
     enc_randomizer = mod_pow(randomizer, signer.e, signer.n * recovery.n)
-    receipt_value = mod_pow(goods_hash % signer.n, signer.d, signer.n)
-    blinded_receipt = (randomizer * receipt_value) % signer.n
+    blinded_receipt = (randomizer * rsa_sign(signer, goods_hash)) % signer.n
     mask = _control_mask(enc_randomizer, recovery.n)
-    control = (randomizer * mod_pow(mask, recovery.d, recovery.n)) % recovery.n
+    control = (randomizer * rsa_sign(recovery, mask)) % recovery.n
     return VresTriple(enc_randomizer, blinded_receipt, control)
 
 
@@ -151,14 +145,9 @@ def check_vres(triple: VresTriple, goods_hash: int, signer_pub: PublicKey,
     y = triple.enc_randomizer
     if y >= signer_pub.n * recovery_pub.n:
         return "enc-randomizer-range"
-    lhs = mod_pow(triple.blinded_receipt, signer_pub.e, signer_pub.n)
-    rhs = ((y % signer_pub.n) * (goods_hash % signer_pub.n)) % signer_pub.n
-    if lhs != rhs:
+    if not rsa_verify(signer_pub, triple.blinded_receipt, y * goods_hash):
         return "receipt-congruence"
-    mask = _control_mask(y, recovery_pub.n)
-    lhs = mod_pow(triple.control, recovery_pub.e, recovery_pub.n)
-    rhs = ((y % recovery_pub.n) * mask) % recovery_pub.n
-    if lhs != rhs:
+    if not rsa_verify(recovery_pub, triple.control, y * _control_mask(y, recovery_pub.n)):
         return "control-congruence"
     return None
 
@@ -169,17 +158,12 @@ def verify_vres(triple: VresTriple, goods_hash: int, signer_pub: PublicKey,
 
 
 def recover_receipt(blinded_receipt: int, randomizer: int, signer_pub: PublicKey,
-                    goods_hash: int, signer: str) -> Receipt:
+                    goods_hash: int, signer: str) -> Signature:
     """Strip the blinding and insist the result really signs `goods_hash`."""
     value = (blinded_receipt * mod_inv(randomizer, signer_pub.n)) % signer_pub.n
-    if mod_pow(value, signer_pub.e, signer_pub.n) != goods_hash % signer_pub.n:
+    if not rsa_verify(signer_pub, value, goods_hash):
         raise RecoveryMismatch("unblinded value does not sign the goods hash")
-    return Receipt(value, goods_hash, signer)
-
-
-def verify_receipt(receipt: Receipt, signer_pub: PublicKey) -> bool:
-    lhs = mod_pow(receipt.value, signer_pub.e, signer_pub.n)
-    return lhs == receipt.goods_hash % signer_pub.n
+    return Signature(value, goods_hash, signer)
 
 
 def recover_randomizer(enc_randomizer: int, recovery_exponent: int,
@@ -207,7 +191,7 @@ def make_auth_token(signer: RsaKeyPair, cert: RecoverableCert, enc_randomizer: i
     the token to one protocol run."""
     digest = _token_digest(cert, enc_randomizer, sender_enc_randomizer,
                            sender_id, signer.n)
-    return mod_pow(digest, signer.d, signer.n)
+    return rsa_sign(signer, digest)
 
 
 def verify_auth_token(token: int, signer_pub: PublicKey, cert: RecoverableCert,
@@ -215,14 +199,4 @@ def verify_auth_token(token: int, signer_pub: PublicKey, cert: RecoverableCert,
                       sender_id: str) -> bool:
     digest = _token_digest(cert, enc_randomizer, sender_enc_randomizer,
                            sender_id, signer_pub.n)
-    return mod_pow(token, signer_pub.e, signer_pub.n) == digest
-
-
-def make_origin_proof(signer: RsaKeyPair, goods_hash: int) -> int:
-    """Seller's signature on the goods hash, reduced into the signer
-    modulus. Binds the goods only; see OriginProof."""
-    return mod_pow(goods_hash % signer.n, signer.d, signer.n)
-
-
-def verify_origin_proof(proof: int, goods_hash: int, signer_pub: PublicKey) -> bool:
-    return mod_pow(proof, signer_pub.e, signer_pub.n) == goods_hash % signer_pub.n
+    return rsa_verify(signer_pub, token, digest)

@@ -25,6 +25,8 @@ from rsa_cegd.crypto import (
     random_prime_below,
     random_unit,
     rsa_keygen_with_exponent,
+    rsa_sign,
+    rsa_verify,
     sym_decrypt,
     sym_encrypt,
 )
@@ -136,6 +138,17 @@ def test_keygen_failure_when_exponent_too_large():
     # No 16-bit modulus has phi above 2^20 + 1, so every attempt is rejected.
     with pytest.raises(GenerationFailure):
         rsa_keygen_with_exponent(16, (1 << 20) + 1, seed=0)
+
+
+def test_keygen_impossible_exponent_fails_before_sampling(monkeypatch):
+    # phi(n) < 2^256 for every 256-bit modulus, so e = 2^256 + 1 is ruled out
+    # by the width alone and not one prime may be drawn.
+    def no_sampling(*args):
+        raise AssertionError("a prime candidate was sampled")
+
+    monkeypatch.setattr(crypto_mod, "_sample_prime_bits", no_sampling)
+    with pytest.raises(GenerationFailure, match="no 256-bit keypair admits exponent"):
+        rsa_keygen_with_exponent(256, (1 << 256) + 1, seed=0)
 
 
 def test_keygen_validates_arguments():
@@ -464,3 +477,29 @@ def test_random_unit():
     for _ in range(20):
         k = random_unit(rng, 33)
         assert 1 < k < 33 and gcd(k, 33) == 1
+
+
+# --- textbook RSA signatures ----------------------------------------------------
+
+TOY_SIGNER = keypair_from_primes(3, 11, 3)  # n=33, d=7
+
+
+def test_rsa_sign_toy_vector():
+    assert rsa_sign(TOY_SIGNER, 2) == 29  # 2^7 mod 33
+    assert rsa_verify(TOY_SIGNER.public, 29, 2)
+
+
+def test_rsa_sign_reduces_message():
+    assert rsa_sign(TOY_SIGNER, 2 + 33) == 29
+    assert rsa_verify(TOY_SIGNER.public, 29, 2 + 33)
+
+
+def test_rsa_verify_rejects_wrong_key():
+    assert not rsa_verify(keypair_from_primes(5, 11, 3).public, 29, 2)
+
+
+def test_rsa_verify_rejects_signature_not_below_modulus():
+    # 29 + 33 has the same cube mod 33 as 29; only the bound s < n tells
+    # the two apart.
+    assert mod_pow(29 + 33, 3, 33) == 2
+    assert not rsa_verify(TOY_SIGNER.public, 29 + 33, 2)

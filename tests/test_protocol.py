@@ -7,6 +7,7 @@ import pytest
 
 from conftest import start_session, toy_config
 from rsa_cegd.credentials import verify_goods_cert
+from rsa_cegd.crypto import rsa_sign
 from rsa_cegd.harness import BUYER, SELLER, build_world, session_goods
 from rsa_cegd.protocol import (
     ArbiterService,
@@ -27,7 +28,6 @@ from rsa_cegd.vres import (
     derive_enc_randomizer,
     generate_vres,
     make_auth_token,
-    make_origin_proof,
     verify_vres,
 )
 
@@ -86,7 +86,19 @@ def test_offer_with_foreign_origin_proof_rejected(toy_world):
     offer = sender.start(goods, description)
     seller_keys = toy_world.keyrings[SELLER].keys
     mangled = GoodsOffer(offer.ciphertext, offer.cert, offer.blinded_key,
-                         make_origin_proof(seller_keys, offer.cert.goods_hash + 1))
+                         rsa_sign(seller_keys, offer.cert.goods_hash + 1))
+    with pytest.raises(Reject) as err:
+        receiver.on_goods_offer(mangled)
+    assert err.value.reason == "eoo-mismatch"
+    assert receiver.phase is ReceiverPhase.DANGLING
+
+
+def test_offer_with_origin_proof_plus_modulus_rejected(toy_world):
+    # proof + n has the same e-th power mod n as the proof itself.
+    sender, receiver, goods, description = start_session(toy_world)
+    offer = sender.start(goods, description)
+    mangled = GoodsOffer(offer.ciphertext, offer.cert, offer.blinded_key,
+                         offer.origin_proof + toy_world.registry[SELLER].n)
     with pytest.raises(Reject) as err:
         receiver.on_goods_offer(mangled)
     assert err.value.reason == "eoo-mismatch"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import toy_config
+from rsa_cegd.crypto import hex_to_int, int_to_hex
 from rsa_cegd.harness import (
     SELLER,
     RunConfig,
@@ -482,3 +483,55 @@ def test_verifier_never_raises(field_edits, record_edits):
     problems = verify_report(rows)
     assert isinstance(problems, list)
     assert all(isinstance(p, str) for p in problems)
+
+
+# --- signatures must lie below their modulus --------------------------------------
+
+def _node(rows, path):
+    """The node `path` leads to: a record found by the (key, value) pair
+    path[0], then keys and list indices."""
+    key, value = path[0]
+    node = next(r for r in rows if r.get(key) == value)
+    for step in path[1:]:
+        node = node[step]
+    return node
+
+
+# (name, modes, signature's path, its signer's modulus' path, the one problem)
+_E1, _E2 = ("step", "E1"), ("step", "E2")
+_HEADER = ("type", "header")
+_ALL_MODES = ("honest", "replay", "eoo-forward")
+_SIGNATURE_PLUS_MODULUS = [
+    ("e1-origin-proof", _ALL_MODES, (_E1, "fields", "origin_proof"),
+     (_HEADER, "registry", "seller", "n"), "session 1 E1: eoo-mismatch"),
+    ("e1-cert-signature", _ALL_MODES, (_E1, "fields", "cert", "signature"),
+     (_HEADER, "ca", "n"), "session 1 E1: bad-cert-signature"),
+    ("e2-auth-token", _ALL_MODES, (_E2, "fields", "auth_token"),
+     (_HEADER, "registry", "buyer", "n"), "session 1 E2: bad-token"),
+    ("e2-blinded-receipt", _ALL_MODES, (_E2, "fields", "blinded_receipt"),
+     (_HEADER, "registry", "buyer", "n"), "session 1 E2: bad-vres"),
+    ("e2-control", _ALL_MODES, (_E2, "fields", "control"),
+     (_E2, "fields", "recovery_cert", "n"), "session 1 E2: bad-vres"),
+    ("receipt", _ALL_MODES, (("party", "seller"), "receipts", 0, "value"),
+     (_HEADER, "registry", "buyer", "n"), "evidence for seller: receipt does not verify"),
+    ("buyer-origin-proof", ("honest", "eoo-forward"),
+     (("party", "buyer"), "origin_proofs", 0, "value"), (_HEADER, "registry", "seller", "n"),
+     "evidence for buyer: origin proof does not verify"),
+    ("outsider-origin-proof", ("eoo-forward",),
+     (("party", "outsider"), "origin_proofs", 0, "value"),
+     (_HEADER, "registry", "seller", "n"),
+     "evidence for outsider: origin proof does not verify"),
+]
+
+
+@pytest.mark.parametrize("mode, path, modulus_path, expected", [
+    (mode, *case[2:]) for case in _SIGNATURE_PLUS_MODULUS for mode in case[1]],
+    ids=[f"{case[0]}-{mode}" for case in _SIGNATURE_PLUS_MODULUS for mode in case[1]])
+def test_signature_plus_modulus_is_one_problem(mode, path, modulus_path, expected):
+    # s + n has the same e-th power mod n as s, so only the bound s < n
+    # rejects it.
+    rows = _rows(mode)
+    modulus = hex_to_int(_node(rows, modulus_path[:-1])[modulus_path[-1]])
+    parent = _node(rows, path[:-1])
+    parent[path[-1]] = int_to_hex(hex_to_int(parent[path[-1]]) + modulus)
+    assert verify_report(rows) == [expected]

@@ -18,6 +18,8 @@ from rsa_cegd.crypto import (
     mod_pow,
     random_prime_below,
     rsa_keygen_with_exponent,
+    rsa_sign,
+    rsa_verify,
 )
 from rsa_cegd.vres import (
     InvalidRandomizer,
@@ -27,13 +29,10 @@ from rsa_cegd.vres import (
     derive_enc_randomizer,
     generate_vres,
     make_auth_token,
-    make_origin_proof,
     recover_randomizer,
     recover_receipt,
     unwrap_key,
     verify_auth_token,
-    verify_origin_proof,
-    verify_receipt,
     verify_vres,
     wrap_key,
 )
@@ -186,7 +185,7 @@ def test_recover_receipt_toy():
     receipt = recover_receipt(16, 7, BUYER.public, GOODS_HASH, "buyer")
     assert receipt.value == 18
     assert mod_pow(18, 3, 55) == 2
-    assert verify_receipt(receipt, BUYER.public)
+    assert rsa_verify(BUYER.public, receipt.value, receipt.goods_hash)
 
 
 def test_recover_receipt_wrong_randomizer():
@@ -286,20 +285,20 @@ def test_auth_token_session_free():
 
 
 def test_origin_proof_toy():
-    proof = make_origin_proof(SELLER, GOODS_HASH)
+    proof = rsa_sign(SELLER, GOODS_HASH)
     assert proof == 29  # 2^7 mod 33
     assert mod_pow(29, 3, 33) == 2
-    assert verify_origin_proof(proof, GOODS_HASH, SELLER.public)
+    assert rsa_verify(SELLER.public, proof, GOODS_HASH)
 
 
 def test_origin_proof_wrong_key():
-    proof = make_origin_proof(SELLER, GOODS_HASH)
-    assert not verify_origin_proof(proof, GOODS_HASH, BUYER.public)
+    proof = rsa_sign(SELLER, GOODS_HASH)
+    assert not rsa_verify(BUYER.public, proof, GOODS_HASH)
 
 
 def test_origin_proof_holder_free():
     # The proof carries no receiver identity: any holder presents the
     # identical value and it verifies just the same.
-    proof = make_origin_proof(SELLER, GOODS_HASH)
+    proof = rsa_sign(SELLER, GOODS_HASH)
     for _holder in ("buyer", "outsider", "anyone"):
-        assert verify_origin_proof(proof, GOODS_HASH, SELLER.public)
+        assert rsa_verify(SELLER.public, proof, GOODS_HASH)
