@@ -72,7 +72,7 @@ def _cmd_run(parser, args) -> int:
     except GenerationFailure as exc:
         parser.error(str(exc))
     try:
-        write_report_lines(report.to_lines(), args.out)
+        write_report_lines(report.rows(), args.out)
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return 1
@@ -93,13 +93,17 @@ def _cmd_run(parser, args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # The file is read as verify_report takes its rows, so a read error can
+    # come from any line; verify_report itself raises nothing.
+    rows = load_report(args.path)
     try:
-        rows = load_report(args.path)
+        problems = verify_report(rows)
+        for _ in rows:  # the lines after a missing header must read too
+            pass
     # ValueError: bad JSON or UTF-8; RecursionError: JSON nested too deeply.
     except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot read transcript: {exc}", file=sys.stderr)
         return 1
-    problems = verify_report(rows)
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}")

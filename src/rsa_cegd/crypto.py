@@ -99,13 +99,16 @@ def hash_int(tag: str, data: bytes, modulus: int) -> int:
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    digest = hashlib.sha256(tag.encode("utf-8") + data).digest()
-    return int.from_bytes(digest, "big") % modulus
+    # Fed in two parts: tag + data would copy the goods.
+    digest = hashlib.sha256(tag.encode("utf-8"))
+    digest.update(data)
+    return int.from_bytes(digest.digest(), "big") % modulus
 
 
 # Bytes XORed per pass; a multiple of the 32-byte keystream block. Bounds
-# the transient keystream and integers to a few times this size.
-_SYM_CHUNK = 64 * 1024
+# the transient keystream and integers to a few times this size: 16 KiB
+# runs as fast as 64 KiB and lowers a run's peak by ~0.25 MiB.
+_SYM_CHUNK = 16 * 1024
 
 
 def sym_encrypt(key: int, plaintext: bytes) -> bytes:
@@ -122,10 +125,21 @@ def sym_encrypt(key: int, plaintext: bytes) -> bytes:
     for start in range(0, len(plaintext), _SYM_CHUNK):
         chunk = plaintext[start:start + _SYM_CHUNK]
         size = len(chunk)
-        first = start // 32
-        indices = (b"%x" % i for i in range(first, first + (size + 31) // 32))
-        stream = b"".join([hashlib.sha256(head + len(h).to_bytes(8, "big") + h).digest()
-                           for h in indices])
+        index = start // 32
+        stop = index + (size + 31) // 32
+        blocks = []
+        while index < stop:
+            # Blocks whose hex index has one width share the hash input up
+            # to the index: hash it once and copy the state per block.
+            width = len(b"%x" % index)
+            end = min(stop, 16 ** width)
+            base = hashlib.sha256(head + width.to_bytes(8, "big"))
+            for i in range(index, end):
+                block = base.copy()
+                block.update(b"%x" % i)
+                blocks.append(block.digest())
+            index = end
+        stream = b"".join(blocks)
         mixed = int.from_bytes(chunk, "big") ^ int.from_bytes(stream[:size], "big")
         out.append(mixed.to_bytes(size, "big"))
     return b"".join(out)

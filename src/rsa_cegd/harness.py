@@ -27,6 +27,7 @@ exchange is a harness bug, not a finding.
 """
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import transcript
@@ -76,8 +77,8 @@ MILESTONES = {
     "eoo-forward": [(1, "exchange-completed"), (1, "eoo-forwarded-out-of-band")],
 }
 
-# A run holds about 15 times its goods in memory at peak (replay, 8 MiB of
-# goods: 141 MiB), so 16 MiB keeps a run near 260 MiB.
+# At 16 MiB of goods a run peaks 47-64 MiB and its verification about 111
+# MiB above the interpreter's own ~21 MiB of RSS: 3-7 times the goods.
 MAX_GOODS_SIZE = 1 << 24
 
 
@@ -179,9 +180,12 @@ class AttackReport:
     def narrative(self) -> list[str]:
         return [label for _, label in _milestones(self.records)]
 
+    def rows(self) -> list[dict]:
+        return transcript.report_rows(self.header, self.records, self.evidence,
+                                      self.verdict.to_record())
+
     def to_lines(self) -> list[str]:
-        return transcript.report_lines(self.header, self.records, self.evidence,
-                                       self.verdict.to_record())
+        return transcript.report_lines(self.rows())
 
 
 def build_world(config: RunConfig) -> World:
@@ -276,9 +280,7 @@ def _expect(condition: bool, what: str) -> None:
 def _exchange(world: World, session: int, abort: bool = False) -> tuple:
     """Logged E1, E2, then the seller's abort or E3, E4 -> (sender, receiver, offer)."""
     sender, receiver = make_sessions(world, session)
-    # Held to the end: freeing 1 MiB of goods right after E1 raised peak RSS.
-    goods, description = session_goods(world.config, session)
-    offer = sender.start(goods, description)
+    offer = sender.start(*session_goods(world.config, session))
     world.log_message(offer, SELLER, BUYER, session)
     enc_receipt = receiver.on_goods_offer(offer)
     world.log_message(enc_receipt, BUYER, SELLER, session)
@@ -360,8 +362,6 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
     copy verifies bit-identically while the seller holds no receipt from
     the outsider."""
     world = build_world(config)
-    # Only the hash is kept: the offer's ciphertext, as large as the goods,
-    # is freed before the evidence rows are encoded.
     goods_hash = _exchange(world, 1)[2].cert.goods_hash
     _expect(evaluate_fairness(world.ledgers).status == FAIR,
             "world unfair before the forward")
@@ -423,12 +423,16 @@ class _Unchecked(Exception):
     """The message depends on an earlier one that failed its own check."""
 
 
-def verify_report(rows: list[dict]) -> list[str]:
-    """Return a list of problems; empty means the transcript checks out."""
+def verify_report(rows: Iterable[dict]) -> list[str]:
+    """Return a list of problems; empty means the transcript checks out.
+    Rows are taken one at a time, and only what later checks need is kept of
+    each: a message's route and decoded body, an evidence row's ledger
+    without its goods payloads."""
     problems: list[str] = []
-    if not rows or not isinstance(rows[0], dict) or rows[0].get("type") != "header":
+    rows = iter(rows)
+    header = next(rows, None)
+    if not isinstance(header, dict) or header.get("type") != "header":
         return ["missing header record"]
-    header = rows[0]
     try:
         registry = {pid: transcript.key_from_fields(entry)
                     for pid, entry in header["registry"].items()}
@@ -441,17 +445,22 @@ def verify_report(rows: list[dict]) -> list[str]:
                   [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter[1])], problems)
 
     # (session, step) -> None until the message passes its check, then
-    # (row, decoded body, derived): derived is E1's sender encrypted
+    # (route, decoded body, derived): derived is E1's sender encrypted
     # randomizer and None for the other steps.
     logged: dict[tuple, tuple | None] = {}
-    evidence_rows: dict[str, dict] = {}
+    # party -> (its ledger, or None if the row is malformed; its problems),
+    # reported after the loop in party order.
+    evidence: dict[str, tuple] = {}
     milestones: list[tuple] = []
     # A milestone without a valid session has no place in the sequence.
     milestones_checkable = True
     evidence_seen = False
     verdict_row = None
 
-    for number, row in enumerate(rows[1:], start=2):
+    # Counted by hand: enumerate would hold each row until the next is read.
+    number = 1
+    for row in rows:
+        number += 1
         if not isinstance(row, dict):
             problems.append(f"record {number} is not a JSON object")
             continue
@@ -488,10 +497,12 @@ def verify_report(rows: list[dict]) -> list[str]:
                 problems.append(f"record {number}: evidence without a party name")
             elif party not in registry:
                 problems.append(f"record {number}: evidence for unknown party {party!r}")
-            elif party in evidence_rows:
+            elif party in evidence:
                 problems.append(f"record {number}: duplicate evidence for {party}")
             else:
-                evidence_rows[party] = row
+                evidence[party] = _check_evidence(party, row, registry)
+            # Not held while the next row is read: it holds the goods' hex.
+            row = None
         elif kind == "verdict":
             if verdict_row is None:
                 verdict_row = row
@@ -506,15 +517,13 @@ def verify_report(rows: list[dict]) -> list[str]:
 
     ledgers: dict[str, EvidenceLedger] = {}
     for party in sorted(registry):
-        if party not in evidence_rows:
+        if party not in evidence:
             problems.append(f"missing evidence for {party}")
             continue
-        try:
-            ledgers[party] = transcript.ledger_from_record(evidence_rows[party])
-        except _MALFORMED as exc:
-            problems.append(f"malformed evidence for {party}: {exc}")
-        else:
-            _check_evidence(party, ledgers[party], registry, problems)
+        ledger, found = evidence[party]
+        problems.extend(found)
+        if ledger is not None:
+            ledgers[party] = ledger
 
     mode = header.get("mode")
     if mode in MODES and milestones_checkable and milestones != MILESTONES[mode]:
@@ -595,17 +604,17 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
         if len(body.ciphertext) != goods_size:
             raise Reject("goods-size-mismatch")
     elif step == "E2":
-        offer_row, offer, sender_enc_randomizer = prior("E1")
-        _expect_route(row, _route(offer_row)[::-1])
+        offer_route, offer, sender_enc_randomizer = prior("E1")
+        _expect_route(row, offer_route[::-1])
         check_encrypted_receipt(body, offer.cert.goods_hash, registry[sender],
                                 arbiter_pub, sender_enc_randomizer, recipient)
     elif step == "E3":
-        offer_row, offer, _ = prior("E1")
-        _expect_route(row, _route(offer_row))
+        offer_route, offer, _ = prior("E1")
+        _expect_route(row, offer_route)
         open_goods(offer, body.randomizer, registry[sender])
     elif step == "E4":
-        offer_row, offer, _ = prior("E1")
-        _expect_route(row, _route(offer_row)[::-1])
+        offer_route, offer, _ = prior("E1")
+        _expect_route(row, offer_route[::-1])
         open_receipt(prior("E2")[1], body.randomizer, registry[sender],
                      offer.cert.goods_hash, sender)
     elif step == "R1":
@@ -613,9 +622,9 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
             raise Reject("misrouted")
         check_recovery_request(body, sender, arbiter_pub, registry)
     else:
-        request_row, request, _ = prior("R1")
+        request_route, request, _ = prior("R1")
         if step == "R2":
-            _expect_route(row, (arbiter_id, request_row.get("sender")))
+            _expect_route(row, (arbiter_id, request_route[0]))
             pub = request.recovery_cert.pub
             if mod_pow(body.randomizer, pub.e, pub.n) != request.enc_randomizer % pub.n:
                 raise Reject("residue-mismatch")
@@ -623,17 +632,26 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
             _expect_route(row, (arbiter_id, request.counterparty))
             if body.randomizer != request.sender_randomizer:
                 raise Reject("forward-mismatch")
-    logged[sid, step] = (row, body, derived)
+    logged[sid, step] = ((sender, recipient), body, derived)
 
 
-def _check_evidence(party: str, ledger: EvidenceLedger, registry,
-                    problems: list[str]) -> None:
+def _check_evidence(party: str, row: dict, registry) -> tuple:
+    """(ledger, problems) of one party's evidence row: the ledger is None if
+    the row does not decode, and keeps only the hashes of its goods."""
+    try:
+        ledger = transcript.ledger_from_record(row)
+    except _MALFORMED as exc:
+        return None, [f"malformed evidence for {party}: {exc}"]
+    problems: list[str] = []
+
     def flag(what: str) -> None:
         problems.append(f"evidence for {party}: {what}")
 
     for goods_hash, payload in ledger.goods.items():
         if hash_goods(payload) != goods_hash:
             flag("goods payload does not match its hash")
+    # The verdict asks only which goods a party holds.
+    ledger.goods = dict.fromkeys(ledger.goods)
     for what, role, items in (("receipt", "signer", ledger.receipts),
                               ("origin proof", "originator", ledger.origin_proofs)):
         for item in items.values():
@@ -642,3 +660,4 @@ def _check_evidence(party: str, ledger: EvidenceLedger, registry,
                 flag(f"{what} from unknown {role} {item.signer!r}")
             elif not rsa_verify(signer_pub, item.value, item.goods_hash):
                 flag(f"{what} does not verify")
+    return ledger, problems

@@ -29,6 +29,11 @@ strings in lowercase hex with no spaces):
             {"type":"verdict","verdict":"UNFAIR_FOR_A",
              "goods_hash":hex,"eoo_holder":id}
 
+In memory a row holds each byte string as the bytes object the run holds
+(the E1 ciphertext and the goods payloads run to MiBs); only the writer
+turns it into hex, a long one a slice at a time, so no hex copy of large
+goods ever exists.
+
 The "fields" of a message follow the wire layout of its step, in wire
 order; BODIES holds one (encode, decode) pair per step, built from those
 layouts, and is the only code that maps message bodies to fields and back.
@@ -40,6 +45,8 @@ environment-dependent is recorded.
 """
 
 import json
+from collections.abc import Iterable, Iterator
+from itertools import filterfalse
 from operator import attrgetter
 from typing import get_type_hints
 
@@ -73,9 +80,15 @@ def _hex_bytes(text: str) -> bytes:
     return raw
 
 
-# Field kinds: (encode, decode) of one wire value; a codec is one too.
+def _same(value):
+    return value
+
+
+# Field kinds: (encode, decode) of one wire value; a codec is one too. A byte
+# string stays bytes in the row (row_pieces writes it as hex), so a row
+# shares the run's copy.
 _HEX_INT = (int_to_hex, hex_to_int)
-_HEX_BYTES = (bytes.hex, _hex_bytes)
+_HEX_BYTES = (_same, _hex_bytes)
 _NAME = (str, _name)
 
 
@@ -169,7 +182,7 @@ def evidence_record(party: str, ledger: EvidenceLedger) -> dict:
     return {
         "type": "evidence",
         "party": party,
-        "goods": [{"goods_hash": int_to_hex(h), "payload": payload.hex()}
+        "goods": [{"goods_hash": int_to_hex(h), "payload": payload}
                   for h, payload in sorted(ledger.goods.items())],
         "receipts": [_RECEIPT[0](r) for _, r in sorted(ledger.receipts.items())],
         "origin_proofs": [_ORIGIN_PROOF[0](p)
@@ -199,29 +212,93 @@ def ledger_from_record(row: dict) -> EvidenceLedger:
     return ledger
 
 
-def report_lines(header: dict, records: list, evidence: dict,
-                 verdict_record: dict) -> list[str]:
-    """`evidence` maps each party to its evidence row; rows go out by party."""
-    rows = [header, *records, *(row for _, row in sorted(evidence.items())),
+def report_rows(header: dict, records: list, evidence: dict,
+                verdict_record: dict) -> list[dict]:
+    """The rows of a report file, in file order. `evidence` maps each party
+    to its evidence row; rows go out by party."""
+    return [header, *records, *(row for _, row in sorted(evidence.items())),
             verdict_record]
-    return [json.dumps(row, separators=(",", ":")) for row in rows]
 
 
-# The text layer takes an ASCII string of up to its chunk size (8192) as it
-# is; a longer one it first encodes into a bytes copy.
-_WRITE_PIECE = 8192
+# Bytes hexed per piece: 8192 hex digits, the text layer's chunk size, up to
+# which it takes an ASCII string as it is rather than encoding a copy.
+_HEX_SLICE = 4096
 
 
-def write_report_lines(lines: list[str], path) -> None:
+def _small_hex(value) -> str:
+    """The encoder's hook: a byte string of up to one slice goes in whole, as
+    its hex; a longer one the encoder refuses."""
+    if type(value) is bytes and len(value) <= _HEX_SLICE:
+        return value.hex()
+    raise TypeError(f"cannot encode a {type(value).__name__} whole")
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_small_hex)
+
+
+def _whole(value) -> str | None:
+    """The JSON text of `value`, or None for a dict or list that holds a
+    byte string longer than one slice, which the encoder refuses."""
+    try:
+        return _ENCODER.encode(value)
+    except TypeError:
+        if type(value) in (dict, list):
+            return None
+        raise
+
+
+def row_pieces(value) -> Iterator[str]:
+    """The compact JSON text of `value` (json.dumps with separators (",", ":")),
+    in pieces, with each bytes value written as the string of its lowercase
+    hex. Hex needs no escaping, so a byte string longer than one slice is
+    hexed a slice at a time into pieces of its own; only a dict or list that
+    holds one is split further, and anything else is one piece."""
+    kind = type(value)
+    if kind is bytes:
+        yield '"'
+        view = memoryview(value)
+        for start in range(0, len(view), _HEX_SLICE):
+            yield view[start:start + _HEX_SLICE].hex()
+        yield '"'
+    elif (text := _whole(value)) is not None:
+        yield text
+    elif kind is dict:
+        opener = "{"
+        for key, item in value.items():
+            yield opener + _ENCODER.encode(key) + ":"
+            yield from row_pieces(item)
+            opener = ","
+        yield "}"
+    else:
+        opener = "["
+        for item in value:
+            yield opener
+            yield from row_pieces(item)
+            opener = ","
+        yield "]"
+
+
+def report_lines(rows: Iterable[dict]) -> list[str]:
+    """The lines write_report_lines writes for `rows`, without newlines."""
+    return ["".join(row_pieces(row)) for row in rows]
+
+
+def write_report_lines(rows: Iterable[dict], path) -> None:
+    """Write one line per row, piece by piece: no line of the goods' size,
+    nor the hex of a whole payload, is ever built."""
     with open(path, "w", encoding="utf-8") as handle:
-        for line in lines:
-            # In pieces, and the newline apart: a multi-MiB goods line is
-            # written without a copy of it.
-            for start in range(0, len(line), _WRITE_PIECE):
-                handle.write(line[start:start + _WRITE_PIECE])
+        for row in rows:
+            for piece in row_pieces(row):
+                handle.write(piece)
             handle.write("\n")
 
 
-def load_report(path) -> list[dict]:
+def load_report(path) -> Iterator[dict]:
+    """The rows of a report file, each line read and parsed as the caller
+    asks for the next row; blank lines are skipped. A line that cannot be
+    read raises OSError, ValueError (not UTF-8, not JSON) or RecursionError
+    (JSON nested too deeply) when its row is asked for."""
     with open(path, "r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+        # map keeps no line once it is parsed; isspace, unlike strip, copies
+        # nothing.
+        yield from map(json.loads, filterfalse(str.isspace, handle))

@@ -1,10 +1,14 @@
-"""Command-line behavior: exit codes, file output, env fallback."""
+"""Command-line behavior: exit codes, file output, env fallback, and the
+memory a large-goods run and its verification take."""
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from rsa_cegd.cli import main
+from test_digests import GOLDEN_LARGE_GOODS, LARGE_GOODS
 
 TOY = ["--bits", "32", "--exponent", "3"]
 
@@ -149,6 +153,66 @@ def test_verify_deeply_nested_json_fails(tmp_path, capsys):
     path.write_text("[" * 200000 + "\n")
     assert main(["verify-transcript", str(path)]) == 1
     assert "cannot read transcript" in capsys.readouterr().err
+
+
+def _genuine(path):
+    assert main(["run", "--mode", "replay", "--bits", "64", "--seed", "3",
+                 "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("tail", [b"not json\n", b"\xff\xfe\n", b"[" * 200000 + b"\n"],
+                         ids=["not-json", "not-utf8", "nested"])
+@pytest.mark.parametrize("head", ["genuine", "no-header"])
+def test_verify_late_read_error_fails(tmp_path, capsys, head, tail):
+    # Rows are read as they are checked, so the bad line comes after problems
+    # may have been found (no-header: after the check has stopped). Those are
+    # dropped: the file is unreadable, and that is all that is printed.
+    path = tmp_path / "late.jsonl"
+    text = _genuine(path) if head == "genuine" else b'{"type":"milestone"}\n'
+    path.write_bytes(text + tail)
+    capsys.readouterr()
+    assert main(["verify-transcript", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cannot read transcript: ")
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_LARGE_GOODS))
+def test_run_writes_golden_bytes(tmp_path, capsys, key):
+    # The golden digests hash to_lines(); the run command writes the file
+    # piece by piece, and must write the same bytes.
+    mode, bits, exponent, seed = key
+    path = tmp_path / "large.jsonl"
+    assert main(["run", "--mode", mode, "--bits", str(bits), "--exponent", str(exponent),
+                 "--seed", str(seed), "--goods-size", str(LARGE_GOODS),
+                 "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LARGE_GOODS[key]
+
+
+def _traced_peak_mib(argv) -> float:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / (1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
+# A file holds the goods two (eoo-forward: three) times over, as hex. A run
+# holds each payload once and writes its hex in slices; verification holds a
+# line, its parsed hex and the E1 ciphertexts, and of each evidence row only
+# the goods hashes. Measured at 512 KiB goods: run plus write 1.6-2.1 MiB,
+# load plus verify 2.5-2.6 MiB.
+@pytest.mark.parametrize("mode, verify_bound", [
+    ("honest", 3.0), ("replay", 3.0), ("eoo-forward", 4.0)])
+def test_large_goods_memory_bound(tmp_path, capsys, mode, verify_bound):
+    path = tmp_path / "large.jsonl"
+    run_peak = _traced_peak_mib(["run", "--mode", mode, "--bits", "128", "--seed", "5",
+                                 "--goods-size", str(512 << 10), "--out", str(path)])
+    verify_peak = _traced_peak_mib(["verify-transcript", str(path)])
+    assert run_peak <= 2.5, f"run plus write peaked at {run_peak:.2f} MiB"
+    assert verify_peak <= verify_bound, f"load plus verify peaked at {verify_peak:.2f} MiB"
 
 
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):

@@ -29,12 +29,17 @@ from rsa_cegd.transcript import (
     evidence_record,
     ledger_from_record,
     load_report,
+    row_pieces,
     write_report_lines,
 )
 
 
 def rows_for(report):
     return [json.loads(line) for line in report.to_lines()]
+
+
+def _written(value):
+    return "".join(row_pieces(value))
 
 
 # The ledgers take what the step checks passed without checking it again, so
@@ -51,8 +56,9 @@ def test_all_modes_verify_clean(mode, bits, seed):
 def test_write_load_roundtrip(tmp_path):
     report = run_honest(toy_config(seed=7))
     path = tmp_path / "honest.jsonl"
-    write_report_lines(report.to_lines(), path)
-    assert load_report(path) == rows_for(report)
+    write_report_lines(report.rows(), path)
+    assert path.read_text() == "".join(line + "\n" for line in report.to_lines())
+    assert list(load_report(path)) == rows_for(report)
 
 
 def test_detects_flipped_vres_component():
@@ -122,17 +128,40 @@ def test_stale_recovery_transcript_still_verifies():
 @pytest.mark.parametrize("mode", ["honest", "replay", "eoo-forward"])
 def test_codec_round_trip(mode, bits, exponent):
     # Encoding a decoded body or ledger gives back the same fields, in the
-    # same order.
+    # same order. Rows hold byte strings as bytes, which only the writer
+    # turns into hex, so both sides are compared as written.
     for seed in (1, 2, 3):
         report = run_mode(RunConfig(mode=mode, bits=bits, exponent=exponent, seed=seed))
-        for record in report.records:
+        for record in rows_for(report):
             if record["type"] == "message":
                 fields = record["fields"]
                 encoded = BODIES[record["step"]][0](decode_body(record["step"], fields))
-                assert json.dumps(encoded) == json.dumps(fields)
-        for party, row in report.evidence.items():
-            encoded = evidence_record(party, ledger_from_record(row))
-            assert json.dumps(encoded) == json.dumps(row)
+                assert _written(encoded) == _written(fields)
+            elif record["type"] == "evidence":
+                encoded = evidence_record(record["party"], ledger_from_record(record))
+                assert _written(encoded) == _written(record)
+
+
+def _hexed(value):
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hexed(item) for item in value]
+    return value
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text() | st.binary(max_size=9000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12))
+def test_row_pieces_match_json_dumps(value):
+    # Bytes are written as their hex, in slices (9000 bytes span three), and
+    # everything else exactly as json.dumps writes it.
+    assert _written(value) == json.dumps(_hexed(value), separators=(",", ":"))
 
 
 # --- parity: the verifier reports what the receiving handler rejects -------------
