@@ -138,10 +138,7 @@ def main(argv=None) -> int:
         return _cmd_run(parser, args)
     if args.command == "verify-transcript":
         return _cmd_verify(args)
-    if args.command == "keygen":
-        return _cmd_keygen(parser, args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return _cmd_keygen(parser, args)
 
 
 if __name__ == "__main__":

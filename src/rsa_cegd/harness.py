@@ -95,9 +95,6 @@ class RunConfig:
     goods_size: int = 64
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("bits", "exponent", "seed", "goods_size"):
@@ -140,7 +137,7 @@ class World:
     arbiter: Identity
     keyrings: dict[str, Identity]
     registry: dict[str, PublicKey]
-    recovery_certs: dict[str, tuple[RecoverableCert, RsaKeyPair]]
+    buyer_recovery: tuple[RecoverableCert, RsaKeyPair]
     ledgers: dict[str, EvidenceLedger]
     records: list = field(default_factory=list)
 
@@ -208,7 +205,7 @@ def build_world(config: RunConfig) -> World:
         arbiter=arbiter,
         keyrings=keyrings,
         registry=registry,
-        recovery_certs={BUYER: (buyer_cert, buyer_recovery)},
+        buyer_recovery=(buyer_cert, buyer_recovery),
         ledgers={pid: EvidenceLedger() for pid in party_ids},
     )
 
@@ -224,12 +221,12 @@ def make_sessions(world: World, session: int) -> tuple[SenderSession, ReceiverSe
     config = world.config
     sender_rng = random.Random(derive_seed(config.seed, f"session-{session}-sender"))
     receiver_rng = random.Random(derive_seed(config.seed, f"session-{session}-receiver"))
-    cert, recovery_keys = world.recovery_certs[BUYER]
+    cert, recovery_keys = world.buyer_recovery
     sender = SenderSession(world.keyrings[SELLER], BUYER, world.ca,
-                           world.arbiter.keys.public, world.registry,
+                           world.arbiter.keys.public, world.registry[BUYER],
                            world.ledgers[SELLER], sender_rng)
     receiver = ReceiverSession(world.keyrings[BUYER], SELLER, world.ca.keys.public,
-                               world.registry, cert, recovery_keys,
+                               world.registry[SELLER], cert, recovery_keys,
                                world.ledgers[BUYER], receiver_rng)
     return sender, receiver
 
@@ -583,7 +580,7 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
     if step not in transcript.BODIES:
         raise Reject("unknown-step")
     logged[sid, step] = None
-    body = transcript.decode_body(step, row["fields"])
+    body = transcript.BODIES[step][1](row["fields"])
     sender, recipient = _route(row)
     arbiter_id, arbiter_pub = arbiter
     derived = None

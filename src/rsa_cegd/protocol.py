@@ -254,13 +254,13 @@ class SenderSession:
     """Seller side of one exchange session."""
 
     def __init__(self, keyring: Identity, counterparty: str, ca: Identity,
-                 arbiter_pub: PublicKey, registry: dict[str, PublicKey],
+                 arbiter_pub: PublicKey, counter_pub: PublicKey,
                  ledger: EvidenceLedger, rng: random.Random):
         self.keyring = keyring
         self.counterparty = counterparty
         self.ca = ca
         self.arbiter_pub = arbiter_pub
-        self.registry = registry
+        self.counter_pub = counter_pub
         self.ledger = ledger
         self.rng = rng
         self.phase = SenderPhase.INIT
@@ -297,7 +297,7 @@ class SenderSession:
         if self.phase is not SenderPhase.SENT_OFFER:
             return None
         _dangle_on_reject(self, check_encrypted_receipt, msg, self.goods_hash,
-                          self.registry[self.counterparty], self.arbiter_pub,
+                          self.counter_pub, self.arbiter_pub,
                           self.enc_randomizer, self.keyring.party_id)
         self.enc_receipt = msg
         if abort:
@@ -307,9 +307,8 @@ class SenderSession:
         return KeyRelease(self.randomizer)
 
     def _accept_receipt_randomizer(self, randomizer: int) -> None:
-        counter_pub = self.registry[self.counterparty]
         receipt = _dangle_on_reject(self, open_receipt, self.enc_receipt, randomizer,
-                                    counter_pub, self.goods_hash, self.counterparty)
+                                    self.counter_pub, self.goods_hash, self.counterparty)
         self.ledger.receipts[receipt.signer, receipt.goods_hash] = receipt
         self.phase = SenderPhase.DONE
 
@@ -345,13 +344,13 @@ class ReceiverSession:
     """Buyer side of one exchange session."""
 
     def __init__(self, keyring: Identity, counterparty: str, ca_pub: PublicKey,
-                 registry: dict[str, PublicKey], recovery_cert: RecoverableCert,
+                 counter_pub: PublicKey, recovery_cert: RecoverableCert,
                  recovery_keys: RsaKeyPair, ledger: EvidenceLedger,
                  rng: random.Random):
         self.keyring = keyring
         self.counterparty = counterparty
         self.ca_pub = ca_pub
-        self.registry = registry
+        self.counter_pub = counter_pub
         self.recovery_cert = recovery_cert
         self.recovery_keys = recovery_keys
         self.ledger = ledger
@@ -364,7 +363,7 @@ class ReceiverSession:
         if self.phase is not ReceiverPhase.INIT:
             return None
         sender_enc_randomizer = _dangle_on_reject(
-            self, check_offer, msg, self.ca_pub, self.registry[self.counterparty])
+            self, check_offer, msg, self.ca_pub, self.counter_pub)
         keys = self.keyring.keys
         bound = min(keys.n, self.recovery_keys.n)
         randomizer = random_prime_below(self.rng, bound,
@@ -381,8 +380,8 @@ class ReceiverSession:
     def _unlock_goods(self, randomizer: int) -> None:
         """Shared E3/R3 handling. Only on full success do goods and origin
         proof enter the ledger."""
-        sender_pub = self.registry[self.counterparty]
-        payload = _dangle_on_reject(self, open_goods, self.offer, randomizer, sender_pub)
+        payload = _dangle_on_reject(self, open_goods, self.offer, randomizer,
+                                    self.counter_pub)
         goods_hash = self.offer.cert.goods_hash
         self.ledger.goods[goods_hash] = payload
         self.ledger.origin_proofs[self.counterparty, goods_hash] = Signature(

@@ -157,11 +157,6 @@ BODIES = {cls.STEP: _codec(cls, layout) for cls, layout in [
 ]}
 
 
-def decode_body(step: str, fields: dict):
-    """The message body a record's fields encode, for a known step tag."""
-    return BODIES[step][1](fields)
-
-
 def message_record(body, sender: str, recipient: str, session: int) -> dict:
     return {
         "type": "message",

@@ -59,10 +59,10 @@ class RecoveryMismatch(ValueError):
 @dataclass(frozen=True)
 class WrappedKey:
     """Seller-side wrapping of the goods key k with a prime randomizer r:
-    blinded_key = r*k mod n, enc_key = k^e mod n, enc_randomizer = r^e mod n.
-    Invariant: blinded_key^e == enc_randomizer * enc_key (mod n)."""
+    blinded_key = r*k mod n, enc_randomizer = r^e mod n. With the goods
+    certificate's enc_key = k^e mod n, the invariant is
+    blinded_key^e == enc_randomizer * enc_key (mod n)."""
     blinded_key: int
-    enc_key: int
     enc_randomizer: int
 
 
@@ -108,7 +108,6 @@ def wrap_key(key: int, randomizer: int, owner: RsaKeyPair) -> WrappedKey:
     _check_randomizer(randomizer, owner.n)
     return WrappedKey(
         blinded_key=(randomizer * key) % owner.n,
-        enc_key=mod_pow(key, owner.e, owner.n),
         enc_randomizer=mod_pow(randomizer, owner.e, owner.n),
     )
 

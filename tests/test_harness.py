@@ -121,11 +121,11 @@ def test_config_validated_at_construction(overrides):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(mode="honest", bits=8, exponent=3, seed=0).validate()
+        RunConfig(mode="honest", bits=8, exponent=3, seed=0)
     with pytest.raises(ValueError):
-        RunConfig(mode="honest", bits=32, exponent=4, seed=0).validate()
+        RunConfig(mode="honest", bits=32, exponent=4, seed=0)
     with pytest.raises(ValueError):
-        RunConfig(mode="honest", bits=32, exponent=3, seed=0, goods_size=0).validate()
+        RunConfig(mode="honest", bits=32, exponent=3, seed=0, goods_size=0)
 
 
 # --- evaluator over hand-built evidence --------------------------------------

@@ -124,7 +124,7 @@ def test_wrong_goods_vres_aborts_sender(toy_world):
     # Rebuild the triple over a different goods hash, with a token that
     # still verifies, so the failure is attributed to the triple itself.
     buyer_keys = toy_world.keyrings[BUYER].keys
-    cert, recovery_keys = toy_world.recovery_certs[BUYER]
+    cert, recovery_keys = toy_world.buyer_recovery
     triple = generate_vres(offer.cert.goods_hash + 1, buyer_keys, recovery_keys,
                            receiver.randomizer)
     derived = derive_enc_randomizer(offer.blinded_key, offer.cert.enc_key,

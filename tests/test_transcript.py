@@ -25,7 +25,6 @@ from rsa_cegd.harness import (
 from rsa_cegd.protocol import ArbiterService, Reject
 from rsa_cegd.transcript import (
     BODIES,
-    decode_body,
     evidence_record,
     ledger_from_record,
     load_report,
@@ -135,7 +134,7 @@ def test_codec_round_trip(mode, bits, exponent):
         for record in rows_for(report):
             if record["type"] == "message":
                 fields = record["fields"]
-                encoded = BODIES[record["step"]][0](decode_body(record["step"], fields))
+                encoded = BODIES[record["step"]][0](BODIES[record["step"]][1](fields))
                 assert _written(encoded) == _written(fields)
             elif record["type"] == "evidence":
                 encoded = evidence_record(record["party"], ledger_from_record(record))
@@ -228,7 +227,7 @@ def test_verifier_matches_handler(mode, step, path, tamper, code):
         parent = parent[key]
     parent[path[-1]] = tamper(parent[path[-1]])
     with pytest.raises(Reject) as err:
-        _receiving_handler(mode, step)(decode_body(step, record["fields"]))
+        _receiving_handler(mode, step)(BODIES[step][1](record["fields"]))
     assert err.value.reason == code
     prefix = f"session {record['session']} {step}: "
     problems = verify_report(rows)

@@ -54,7 +54,6 @@ def test_wrap_key_toy():
     wrapped = wrap_key(5, 7, SELLER)
     assert wrapped.blinded_key == 2      # 35 mod 33
     assert wrapped.enc_randomizer == 13  # 343 mod 33
-    assert wrapped.enc_key == 26         # 125 mod 33
 
 
 def test_wrap_key_identity_key():
@@ -67,7 +66,8 @@ def test_wrap_key_invariant_toy():
     wrapped = wrap_key(5, 7, SELLER)
     lhs = mod_pow(wrapped.blinded_key, 3, 33)
     assert lhs == 8
-    assert (wrapped.enc_randomizer * wrapped.enc_key) % 33 == 8
+    enc_key = mod_pow(5, 3, 33)  # the goods certificate's k^e mod n
+    assert (wrapped.enc_randomizer * enc_key) % 33 == 8
 
 
 def test_wrap_key_rejects_bad_randomizer():
@@ -90,8 +90,8 @@ def test_derive_matches_wrap():
         key = random_prime_below(rng, pair.n, coprime_to=(pair.n,))
         randomizer = random_prime_below(rng, pair.n, coprime_to=(pair.n,))
         wrapped = wrap_key(key, randomizer, pair)
-        derived = derive_enc_randomizer(wrapped.blinded_key, wrapped.enc_key,
-                                        pair.public)
+        derived = derive_enc_randomizer(wrapped.blinded_key,
+                                        mod_pow(key, pair.e, pair.n), pair.public)
         assert derived == wrapped.enc_randomizer
 
 
