@@ -38,7 +38,6 @@ from .crypto import (
     derive_seed,
     hex_to_int,
     int_to_hex,
-    mod_pow,
     rsa_keygen_with_exponent,
     rsa_verify,
 )
@@ -434,12 +433,12 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
         registry = {pid: transcript.key_from_fields(entry)
                     for pid, entry in header["registry"].items()}
         ca_pub = _principal_key(header["ca"])
-        arbiter = (header["arbiter"]["id"], _principal_key(header["arbiter"]))
+        arbiter_pub = _principal_key(header["arbiter"])
         exponent = hex_to_int(header["exponent"])
     except (*_MALFORMED, AttributeError) as exc:  # registry not an object
         return [f"malformed header: {exc}"]
     _check_header(header, exponent,
-                  [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter[1])], problems)
+                  [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter_pub)], problems)
 
     # (session, step) -> None until the message passes its check, then
     # (route, decoded body, derived): derived is E1's sender encrypted
@@ -479,7 +478,7 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
                 continue
         if kind == "message":
             try:
-                _check_message(row, logged, registry, ca_pub, arbiter,
+                _check_message(row, logged, registry, ca_pub, arbiter_pub,
                                header.get("goods_size"))
             except Reject as rej:
                 problems.append(f"session {row['session']} {row['step']}: {rej.reason}")
@@ -553,11 +552,17 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
         problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):
         problems.append("header: parties do not match the registry")
+    # build_world names its principals so; messages are routed by these ids.
+    for name, principal_id in (("ca", CERT_AUTHORITY), ("arbiter", ARBITER)):
+        if header[name].get("id") != principal_id:
+            problems.append(f"header: {name} id is not {principal_id!r}")
     for name, pub in keys:
         if pub.e != exponent:
             problems.append(f"header: {name} key exponent is not the header's exponent")
         if pub.n.bit_length() != header.get("bits"):
             problems.append(f"header: {name} key modulus is not {header.get('bits')!r} bits")
+        if pub.n % 2 == 0 or pub.n <= pub.e:
+            problems.append(f"header: {name} key modulus is not odd and above its exponent")
 
 
 def _principal_key(entry: dict) -> PublicKey:
@@ -574,7 +579,7 @@ def _expect_route(row: dict, route: tuple) -> None:
         raise Reject("misrouted")
 
 
-def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
+def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
                    goods_size) -> None:
     step, sid = row["step"], row["session"]
     if step not in transcript.BODIES:
@@ -582,7 +587,6 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
     logged[sid, step] = None
     body = transcript.BODIES[step][1](row["fields"])
     sender, recipient = _route(row)
-    arbiter_id, arbiter_pub = arbiter
     derived = None
 
     def prior(tag: str) -> tuple:
@@ -615,18 +619,18 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter: tuple,
         open_receipt(prior("E2")[1], body.randomizer, registry[sender],
                      offer.cert.goods_hash, sender)
     elif step == "R1":
-        if recipient != arbiter_id:
+        if recipient != ARBITER:
             raise Reject("misrouted")
         check_recovery_request(body, sender, arbiter_pub, registry)
     else:
         request_route, request, _ = prior("R1")
         if step == "R2":
-            _expect_route(row, (arbiter_id, request_route[0]))
-            pub = request.recovery_cert.pub
-            if mod_pow(body.randomizer, pub.e, pub.n) != request.enc_randomizer % pub.n:
+            _expect_route(row, (ARBITER, request_route[0]))
+            if not rsa_verify(request.recovery_cert.pub, body.randomizer,
+                              request.enc_randomizer):
                 raise Reject("residue-mismatch")
         else:
-            _expect_route(row, (arbiter_id, request.counterparty))
+            _expect_route(row, (ARBITER, request.counterparty))
             if body.randomizer != request.sender_randomizer:
                 raise Reject("forward-mismatch")
     logged[sid, step] = ((sender, recipient), body, derived)

@@ -27,6 +27,9 @@ open_goods, open_receipt, check_recovery_request) that raises Reject with a
 stable reason code; the handlers and harness.verify_report both call it. A
 handler whose check rejects leaves its session DANGLING; a message that
 arrives out of phase returns None and changes nothing.
+
+A value a check reduces modulo n must lie below n, as RSA decryption
+requires of its input (RFC 8017 5.1.2): otherwise v + n would pass as v.
 """
 
 import random
@@ -156,6 +159,8 @@ def check_offer(offer: GoodsOffer, ca_pub: PublicKey, sender_pub: PublicKey) -> 
         raise Reject(problem)
     if not rsa_verify(sender_pub, offer.origin_proof, offer.cert.goods_hash):
         raise Reject("eoo-mismatch")
+    if offer.blinded_key >= sender_pub.n:
+        raise Reject("bad-enc-key")
     try:
         return derive_enc_randomizer(offer.blinded_key, offer.cert.enc_key, sender_pub)
     except NotInvertible:
@@ -179,6 +184,8 @@ def check_encrypted_receipt(msg: EncryptedReceipt, goods_hash: int,
 
 def open_goods(offer: GoodsOffer, randomizer: int, sender_pub: PublicKey) -> bytes:
     """E3 and R3: unwrap the key and decrypt the goods; returns the payload."""
+    if randomizer >= sender_pub.n:
+        raise Reject("bad-key")
     try:
         key = unwrap_key(offer.blinded_key, randomizer, sender_pub.n)
     except NotInvertible:
@@ -195,7 +202,8 @@ def open_receipt(msg: EncryptedReceipt, randomizer: int, signer_pub: PublicKey,
                  goods_hash: int, signer: str) -> Signature:
     """E4 and R2: open the triple with the randomizer; returns the receipt."""
     combined = signer_pub.n * msg.recovery_cert.pub.n
-    if mod_pow(randomizer, signer_pub.e, combined) != msg.vres.enc_randomizer:
+    if (randomizer >= combined
+            or mod_pow(randomizer, signer_pub.e, combined) != msg.vres.enc_randomizer):
         raise Reject("bad-rb")
     try:
         return recover_receipt(msg.vres.blinded_receipt, randomizer, signer_pub,
@@ -222,8 +230,9 @@ def check_recovery_request(msg: RecoveryRequest, requester: str,
     requester_pub = registry.get(requester)
     if requester_pub is None:
         raise Reject("unknown-requester")
-    if mod_pow(msg.sender_randomizer, requester_pub.e,
-               requester_pub.n) != msg.sender_enc_randomizer:
+    if (msg.sender_randomizer >= requester_pub.n
+            or mod_pow(msg.sender_randomizer, requester_pub.e,
+                       requester_pub.n) != msg.sender_enc_randomizer):
         raise Reject("bad-sender-randomizer")
 
 

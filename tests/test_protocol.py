@@ -177,6 +177,18 @@ def test_cross_session_randomizer_rejected(toy_world):
     assert receiver2.phase is ReceiverPhase.DANGLING
 
 
+def test_key_release_plus_modulus_rejected(toy_world):
+    # r + n unwraps to the same key as r, so only the bound r < n rejects it.
+    sender, receiver, goods, description = start_session(toy_world)
+    offer = sender.start(goods, description)
+    sender.on_encrypted_receipt(receiver.on_goods_offer(offer))
+    with pytest.raises(Reject) as err:
+        receiver.on_key_release(KeyRelease(sender.randomizer + toy_world.registry[SELLER].n))
+    assert err.value.reason == "bad-key"
+    assert not toy_world.ledgers[BUYER].goods
+    assert receiver.phase is ReceiverPhase.DANGLING
+
+
 def test_replayed_key_release_ignored_after_done(toy_world):
     sender, receiver, offer = run_exchange(toy_world)
     assert receiver.on_key_release(KeyRelease(sender.randomizer)) is None
@@ -203,6 +215,20 @@ def test_wrong_receipt_randomizer_rejected(toy_world):
         sender.on_receipt_release(ReceiptRelease(sender.randomizer))
     assert err.value.reason == "bad-rb"
     assert not toy_world.ledgers[SELLER].receipts
+
+
+def test_receipt_release_plus_modulus_rejected(toy_world):
+    # r + n*n' has the same e-th power mod n*n' as r.
+    sender, receiver, goods, description = start_session(toy_world)
+    offer = sender.start(goods, description)
+    enc_receipt = receiver.on_goods_offer(offer)
+    sender.on_encrypted_receipt(enc_receipt)
+    combined = toy_world.registry[BUYER].n * enc_receipt.recovery_cert.pub.n
+    with pytest.raises(Reject) as err:
+        sender.on_receipt_release(ReceiptRelease(receiver.randomizer + combined))
+    assert err.value.reason == "bad-rb"
+    assert not toy_world.ledgers[SELLER].receipts
+    assert sender.phase is SenderPhase.DANGLING
 
 
 # --- arbiter -------------------------------------------------------------------------

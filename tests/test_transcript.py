@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import toy_config
-from rsa_cegd.crypto import hex_to_int, int_to_hex
+from rsa_cegd.credentials import _cert_digest, _recovery_cert_digest
+from rsa_cegd.crypto import PublicKey, hex_to_int, int_to_hex, rsa_sign
 from rsa_cegd.harness import (
+    BUYER,
     SELLER,
     RunConfig,
     build_world,
@@ -31,6 +33,7 @@ from rsa_cegd.transcript import (
     row_pieces,
     write_report_lines,
 )
+from rsa_cegd.vres import make_auth_token
 
 
 def rows_for(report):
@@ -281,6 +284,7 @@ _HEADER_EDITS = [
     (("bits",), 64.0, "header: bits must be an integer"),
     (("format",), 1.0, "header: unsupported format 1.0"),
     (("goods_size",), float, "header: goods_size must be an integer"),
+    (("ca", "n"), "3", "header: ca key modulus is not odd and above its exponent"),
 ]
 
 
@@ -350,6 +354,21 @@ def _add_key(*path):
     return apply
 
 
+def _principal_id(name, value):
+    """Sets the id of the header's `name` entry to `value`, or deletes it."""
+    def apply(rows):
+        if value == "delete":
+            del rows[0][name]["id"]
+        else:
+            rows[0][name]["id"] = value
+    return apply
+
+
+def _outsider_modulus_plus_one(rows):
+    key = rows[0]["registry"]["outsider"]
+    key["n"] = int_to_hex(hex_to_int(key["n"]) + 1)
+
+
 _NON_CANONICAL = "hex is not in canonical form"
 _ONE_PROBLEM_EDITS = [
     ("receipt-0x", "replay", _edit_seller_receipt(lambda v: "0x" + v),
@@ -395,6 +414,16 @@ _ONE_PROBLEM_EDITS = [
      "malformed evidence for seller: unknown fields ['extra']"),
     ("goods-item-extra", "honest", _add_key(("party", "buyer"), "goods", 0),
      "malformed evidence for buyer: a goods item has unknown fields"),
+    ("ca-id-changed", "replay", _principal_id("ca", "x"),
+     "header: ca id is not 'cert-authority'"),
+    ("ca-id-deleted", "honest", _principal_id("ca", "delete"),
+     "header: ca id is not 'cert-authority'"),
+    ("arbiter-id-changed-honest", "honest", _principal_id("arbiter", "x"),
+     "header: arbiter id is not 'arbiter'"),
+    ("arbiter-id-changed-replay", "replay", _principal_id("arbiter", "x"),
+     "header: arbiter id is not 'arbiter'"),
+    ("outsider-modulus-even", "eoo-forward", _outsider_modulus_plus_one,
+     "header: outsider key modulus is not odd and above its exponent"),
 ]
 
 
@@ -403,6 +432,7 @@ _ONE_PROBLEM_EDITS = [
 def test_malformed_field_is_one_problem(mode, edit, expected):
     # Integers and byte strings are accepted only in canonical lowercase hex,
     # and a row that does not decode is reported once, not again by the verdict.
+    # A header principal's id, or a key's form, is one header problem.
     rows = _rows(mode)
     edit(rows)
     assert verify_report(rows) == [expected]
@@ -563,3 +593,152 @@ def test_signature_plus_modulus_is_one_problem(mode, path, modulus_path, expecte
     parent = _node(rows, path[:-1])
     parent[path[-1]] = int_to_hex(hex_to_int(parent[path[-1]]) + modulus)
     assert verify_report(rows) == [expected]
+
+
+# (name, modes, value's path, the paths of the moduli whose product is added,
+# the one problem)
+_R1, _R2 = ("step", "R1"), ("step", "R2")
+_VALUE_PLUS_MODULUS = [
+    ("e1-blinded-key", _ALL_MODES, (_E1, "fields", "blinded_key"),
+     [(_HEADER, "registry", "seller", "n")], "session 1 E1: bad-enc-key"),
+    ("e3-randomizer", ("honest", "eoo-forward"), (("step", "E3"), "fields", "randomizer"),
+     [(_HEADER, "registry", "seller", "n")], "session 1 E3: bad-key"),
+    ("e4-randomizer", ("honest", "eoo-forward"), (("step", "E4"), "fields", "randomizer"),
+     [(_HEADER, "registry", "buyer", "n"), (_E2, "fields", "recovery_cert", "n")],
+     "session 1 E4: bad-rb"),
+    ("r1-sender-randomizer", ("replay",), (_R1, "fields", "sender_randomizer"),
+     [(_HEADER, "registry", "seller", "n")], "session 2 R1: bad-sender-randomizer"),
+    ("r2-randomizer", ("replay",), (_R2, "fields", "randomizer"),
+     [(_R1, "fields", "recovery_cert", "n")], "session 2 R2: residue-mismatch"),
+]
+
+
+@pytest.mark.parametrize("mode, path, modulus_paths, expected", [
+    (mode, *case[2:]) for case in _VALUE_PLUS_MODULUS for mode in case[1]],
+    ids=[f"{case[0]}-{mode}" for case in _VALUE_PLUS_MODULUS for mode in case[1]])
+def test_value_plus_modulus_is_one_problem(mode, path, modulus_paths, expected):
+    # A value a step reduces or inverts modulo n acts as itself plus n, so
+    # only the bound v < n rejects the second spelling.
+    rows = _rows(mode)
+    modulus = 1
+    for modulus_path in modulus_paths:
+        modulus *= hex_to_int(_node(rows, modulus_path[:-1])[modulus_path[-1]])
+    parent = _node(rows, path[:-1])
+    parent[path[-1]] = int_to_hex(hex_to_int(parent[path[-1]]) + modulus)
+    assert verify_report(rows) == [expected]
+
+
+# --- each verifier check, pinned by the one problem it reports ---------------------
+# An edit that a signature covers is re-signed with the run's own keys, so only
+# the check under test can fire.
+
+def _unknown_step(rows, world):
+    e3 = next(r for r in rows if r.get("step") == "E3")
+    rows.insert(rows.index(e3) + 1, {**e3, "step": "E5"})
+
+
+def _delete_message(step, session):
+    def apply(rows, world):
+        rows.remove(next(r for r in rows
+                         if r.get("step") == step and r["session"] == session))
+    return apply
+
+
+def _flip_field(step, *path):
+    def apply(rows, world):
+        parent = _node(rows, (("step", step), "fields", *path[:-1]))
+        parent[path[-1]] = _flip(parent[path[-1]])
+    return apply
+
+
+def _recovery_cert_exponent(step):
+    """Gives `step`'s recovery certificate the exponent 3, re-signed by the
+    arbiter; the signer's exponent is 65537."""
+    def apply(rows, world):
+        cert = _node(rows, (("step", step), "fields", "recovery_cert"))
+        pub = PublicKey(3, hex_to_int(cert["n"]))
+        digest = _recovery_cert_digest(pub, hex_to_int(cert["masked_exponent"]),
+                                       world.arbiter.keys.n)
+        cert["e"] = int_to_hex(pub.e)
+        cert["signature"] = int_to_hex(rsa_sign(world.arbiter.keys, digest))
+    return apply
+
+
+def _unregistered_requester(rows, world):
+    # The buyer's token names the requester, so it is signed anew for it.
+    r1 = _node(rows, (_R1,))
+    r1["sender"] = "nobody"
+    body = BODIES["R1"][1](r1["fields"])
+    token = make_auth_token(world.keyrings[BUYER].keys, body.recovery_cert,
+                            body.enc_randomizer, body.sender_enc_randomizer, "nobody")
+    r1["fields"]["auth_token"] = int_to_hex(token)
+
+
+def _enc_key_sharing_a_factor(rows, world):
+    # The goods certificate, re-signed by the CA, encrypts a key k^e that
+    # shares the seller's prime p, so it has no inverse mod n.
+    cert = _node(rows, (_E1, "fields", "cert"))
+    enc_key = world.keyrings[SELLER].keys.p
+    digest = _cert_digest(bytes.fromhex(cert["description"]),
+                          hex_to_int(cert["ciphertext_hash"]),
+                          hex_to_int(cert["goods_hash"]), enc_key, world.ca.keys.n)
+    cert["enc_key"] = int_to_hex(enc_key)
+    cert["signature"] = int_to_hex(rsa_sign(world.ca.keys, digest))
+
+
+def _e3_randomizer_without_inverse(rows, world):
+    _node(rows, (("step", "E3"), "fields"))["randomizer"] = int_to_hex(
+        world.keyrings[SELLER].keys.p)
+
+
+def _unknown_record_type(rows, world):
+    rows.insert(1, {"type": "note"})
+
+
+def _receipt_from_unregistered_signer(rows, world):
+    receipt = _node(rows, (("party", "seller"), "receipts", 0))
+    receipt["signer"] = "nobody"
+    # The verdict these rows give, so that only the signer is reported.
+    rows[-1] = {"type": "verdict", "verdict": "UNFAIR_FOR_B",
+                "goods_hash": receipt["goods_hash"], "receipt_holder": "seller"}
+
+
+def _buyer_payload_flipped(rows, world):
+    goods = _node(rows, (("party", "buyer"), "goods", 0))
+    goods["payload"] = _flip(goods["payload"])
+
+
+_PINNED_CHECKS = [
+    ("unknown-step", "honest", _unknown_step, ["session 1 E5: unknown-step"]),
+    ("missing-E1", "replay", _delete_message("E1", 2), ["session 2 E2: missing-E1"]),
+    ("missing-R1", "replay", _delete_message("R1", 2),
+     ["session 2 R2: missing-R1", "session 2 R3: missing-R1"]),
+    ("forward-mismatch", "replay", _flip_field("R3", "randomizer"),
+     ["session 2 R3: forward-mismatch"]),
+    ("residue-mismatch", "replay", _flip_field("R2", "randomizer"),
+     ["session 2 R2: residue-mismatch"]),
+    ("e2-exponent-mismatch", "honest", _recovery_cert_exponent("E2"),
+     ["session 1 E2: exponent-mismatch"]),
+    ("r1-exponent-mismatch", "replay", _recovery_cert_exponent("R1"),
+     ["session 2 R1: exponent-mismatch"]),
+    ("r1-bad-recovery-cert", "replay", _flip_field("R1", "recovery_cert", "signature"),
+     ["session 2 R1: bad-recovery-cert"]),
+    ("unknown-requester", "replay", _unregistered_requester,
+     ["session 2 R1: unknown-requester"]),
+    ("bad-enc-key", "honest", _enc_key_sharing_a_factor, ["session 1 E1: bad-enc-key"]),
+    ("e3-randomizer-without-inverse", "honest", _e3_randomizer_without_inverse,
+     ["session 1 E3: bad-key"]),
+    ("unknown-record-type", "honest", _unknown_record_type, ["unknown record type 'note'"]),
+    ("unknown-signer", "honest", _receipt_from_unregistered_signer,
+     ["evidence for seller: receipt from unknown signer 'nobody'"]),
+    ("goods-hash-mismatch", "honest", _buyer_payload_flipped,
+     ["evidence for buyer: goods payload does not match its hash"]),
+]
+
+
+@pytest.mark.parametrize("mode, edit, expected", [c[1:] for c in _PINNED_CHECKS],
+                         ids=[c[0] for c in _PINNED_CHECKS])
+def test_verifier_check_is_pinned(mode, edit, expected):
+    rows = _rows(mode)
+    edit(rows, build_world(_config(mode)))
+    assert verify_report(rows) == expected
