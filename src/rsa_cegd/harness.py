@@ -552,7 +552,7 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
         problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):
         problems.append("header: parties do not match the registry")
-    # build_world names its principals so; messages are routed by these ids.
+    # The ids build_world writes; R1..R3 are routed by ARBITER, not the header.
     for name, principal_id in (("ca", CERT_AUTHORITY), ("arbiter", ARBITER)):
         if header[name].get("id") != principal_id:
             problems.append(f"header: {name} id is not {principal_id!r}")
