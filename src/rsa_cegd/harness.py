@@ -66,6 +66,16 @@ UNFAIR_FOR_A = "UNFAIR_FOR_A"
 
 MODES = ("honest", "replay", "eoo-forward")
 
+# Step -> (sender, recipient). Every run sends each step along its route, and
+# the verifier accepts no other.
+ROUTES = {"E1": (SELLER, BUYER), "E2": (BUYER, SELLER), "E3": (SELLER, BUYER),
+          "E4": (BUYER, SELLER), "R1": (SELLER, ARBITER), "R2": (ARBITER, SELLER),
+          "R3": (ARBITER, BUYER)}
+
+# Mode -> the parties its world registers, each with a key and a ledger.
+PARTIES = {"honest": (SELLER, BUYER), "replay": (SELLER, BUYER),
+           "eoo-forward": (SELLER, BUYER, OUTSIDER)}
+
 # Mode -> the (session, label) milestones its run logs, in order.
 MILESTONES = {
     "honest": [(1, "exchange-completed")],
@@ -140,8 +150,8 @@ class World:
     ledgers: dict[str, EvidenceLedger]
     records: list = field(default_factory=list)
 
-    def log_message(self, body, sender: str, recipient: str, session: int) -> None:
-        self.records.append(transcript.message_record(body, sender, recipient, session))
+    def log_message(self, body, session: int) -> None:
+        self.records.append(transcript.message_record(body, *ROUTES[body.STEP], session))
 
     def log_milestone(self, label: str, session: int) -> None:
         self.records.append(transcript.milestone_record(label, session))
@@ -193,7 +203,7 @@ def build_world(config: RunConfig) -> World:
 
     ca = Identity(CERT_AUTHORITY, keypair("ca"))
     arbiter = Identity(ARBITER, keypair("arbiter"))
-    party_ids = [SELLER, BUYER] + ([OUTSIDER] if config.mode == "eoo-forward" else [])
+    party_ids = PARTIES[config.mode]
     keyrings = {pid: Identity(pid, keypair(f"party-{pid}")) for pid in party_ids}
     registry = {pid: ring.keys.public for pid, ring in keyrings.items()}
     buyer_cert, buyer_recovery = issue_recoverable_cert(
@@ -277,9 +287,9 @@ def _exchange(world: World, session: int, abort: bool = False) -> tuple:
     """Logged E1, E2, then the seller's abort or E3, E4 -> (sender, receiver, offer)."""
     sender, receiver = make_sessions(world, session)
     offer = sender.start(*session_goods(world.config, session))
-    world.log_message(offer, SELLER, BUYER, session)
+    world.log_message(offer, session)
     enc_receipt = receiver.on_goods_offer(offer)
-    world.log_message(enc_receipt, BUYER, SELLER, session)
+    world.log_message(enc_receipt, session)
     if abort:
         _expect(sender.on_encrypted_receipt(enc_receipt, abort=True) is None,
                 "abort emitted a message")
@@ -287,10 +297,10 @@ def _exchange(world: World, session: int, abort: bool = False) -> tuple:
         return sender, receiver, offer
     key_release = sender.on_encrypted_receipt(enc_receipt)
     _expect(key_release is not None, "sender withheld the key release")
-    world.log_message(key_release, SELLER, BUYER, session)
+    world.log_message(key_release, session)
     receipt_release = receiver.on_key_release(key_release)
     _expect(receipt_release is not None, "receiver withheld the receipt release")
-    world.log_message(receipt_release, BUYER, SELLER, session)
+    world.log_message(receipt_release, session)
     sender.on_receipt_release(receipt_release)
     world.log_milestone("exchange-completed", session)
     goods_hash = offer.cert.goods_hash
@@ -323,16 +333,16 @@ def run_replay_attack(config: RunConfig) -> AttackReport:
     _, receiver2, _ = _exchange(world, 2, abort=True)
 
     # Recovery invoked during session 2 with session 1's tuple.
-    world.log_message(stale_request, SELLER, ARBITER, 2)
+    world.log_message(stale_request, 2)
     receipt_key, goods_key = arbiter.on_recovery_request(stale_request, SELLER)
     world.log_milestone("stale-R1-accepted", 2)
-    world.log_message(receipt_key, ARBITER, SELLER, 2)
+    world.log_message(receipt_key, 2)
     sender1.on_recovered_randomizer(receipt_key)
     _expect((BUYER, offer1.cert.goods_hash) in world.ledgers[SELLER].receipts,
             "seller failed to recover the stale receipt")
     world.log_milestone("stale-receipt-recovered", 2)
 
-    world.log_message(goods_key, ARBITER, BUYER, 2)
+    world.log_message(goods_key, 2)
     try:
         receiver2.on_recovered_randomizer(goods_key)
     except Reject as rej:
@@ -392,10 +402,10 @@ def run_mode(config: RunConfig) -> AttackReport:
 # against the milestones (MILESTONES), and recompute the verdict from the
 # ledgers once every row decoded. Message problems read
 # "session <sid> <step>: <code>" with the handlers' codes plus misrouted (a
-# route that does not fit the session, or an unregistered party),
+# route other than the step's in ROUTES, or an R3 not to R1's counterparty),
 # goods-size-mismatch (E1), missing-E1/-E2/-R1, residue-mismatch (R2),
-# forward-mismatch (R3) and unknown-step. A message that depends on an
-# E1, E2 or R1 that failed is not checked, so each fault is reported once.
+# forward-mismatch (R3) and unknown-step. A message that depends on a missing
+# or failed E1, E2 or R1 is not checked, so each fault is reported once.
 # R2 and R3 are checked as the arbiter's output, not with the parties' own
 # checks: the buyer's rejection of a stale R3 is the recorded attack.
 
@@ -422,8 +432,8 @@ class _Unchecked(Exception):
 def verify_report(rows: Iterable[dict]) -> list[str]:
     """Return a list of problems; empty means the transcript checks out.
     Rows are taken one at a time, and only what later checks need is kept of
-    each: a message's route and decoded body, an evidence row's ledger
-    without its goods payloads."""
+    each: a message's decoded body, an evidence row's ledger without its goods
+    payloads."""
     problems: list[str] = []
     rows = iter(rows)
     header = next(rows, None)
@@ -439,10 +449,12 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
         return [f"malformed header: {exc}"]
     _check_header(header, exponent,
                   [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter_pub)], problems)
+    if SELLER not in registry or BUYER not in registry:
+        return problems  # each message's check would repeat the header's problem
 
-    # (session, step) -> None until the message passes its check, then
-    # (route, decoded body, derived): derived is E1's sender encrypted
-    # randomizer and None for the other steps.
+    # (session, step) -> None until the message passes its check, or once it
+    # is found missing, then (decoded body, derived): derived is E1's sender
+    # encrypted randomizer and None for the other steps.
     logged: dict[tuple, tuple | None] = {}
     # party -> (its ledger, or None if the row is malformed; its problems),
     # reported after the loop in party order.
@@ -552,7 +564,10 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
         problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):
         problems.append("header: parties do not match the registry")
-    # The ids build_world writes; R1..R3 are routed by ARBITER, not the header.
+    mode = header.get("mode")
+    if mode in MODES and sorted(header["registry"]) != sorted(PARTIES[mode]):
+        problems.append(f"header: registry is not the parties of mode {mode!r}")
+    # The ids build_world writes; R1..R3 are routed by ROUTES, not the header.
     for name, principal_id in (("ca", CERT_AUTHORITY), ("arbiter", ARBITER)):
         if header[name].get("id") != principal_id:
             problems.append(f"header: {name} id is not {principal_id!r}")
@@ -570,15 +585,6 @@ def _principal_key(entry: dict) -> PublicKey:
     return transcript.key_from_fields({k: v for k, v in entry.items() if k != "id"})
 
 
-def _route(row: dict) -> tuple:
-    return row.get("sender"), row.get("recipient")
-
-
-def _expect_route(row: dict, route: tuple) -> None:
-    if _route(row) != route:
-        raise Reject("misrouted")
-
-
 def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
                    goods_size) -> None:
     step, sid = row["step"], row["session"]
@@ -586,54 +592,47 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
         raise Reject("unknown-step")
     logged[sid, step] = None
     body = transcript.BODIES[step][1](row["fields"])
-    sender, recipient = _route(row)
+    if (row.get("sender"), row.get("recipient")) != ROUTES[step]:
+        raise Reject("misrouted")
     derived = None
 
     def prior(tag: str) -> tuple:
         if (sid, tag) not in logged:
+            logged[sid, tag] = None  # its other dependents are not checked
             raise Reject(f"missing-{tag}")
         if logged[sid, tag] is None:
             raise _Unchecked
         return logged[sid, tag]
 
-    # A passed E1 has two registered parties, so the E2..E4 that route
-    # between them find both in the registry.
     if step == "E1":
-        if sender not in registry or recipient not in registry or sender == recipient:
-            raise Reject("misrouted")
-        derived = check_offer(body, ca_pub, registry[sender])
+        derived = check_offer(body, ca_pub, registry[SELLER])
         if len(body.ciphertext) != goods_size:
             raise Reject("goods-size-mismatch")
     elif step == "E2":
-        offer_route, offer, sender_enc_randomizer = prior("E1")
-        _expect_route(row, offer_route[::-1])
-        check_encrypted_receipt(body, offer.cert.goods_hash, registry[sender],
-                                arbiter_pub, sender_enc_randomizer, recipient)
+        offer, sender_enc_randomizer = prior("E1")
+        check_encrypted_receipt(body, offer.cert.goods_hash, registry[BUYER],
+                                arbiter_pub, sender_enc_randomizer, SELLER)
     elif step == "E3":
-        offer_route, offer, _ = prior("E1")
-        _expect_route(row, offer_route)
-        open_goods(offer, body.randomizer, registry[sender])
+        open_goods(prior("E1")[0], body.randomizer, registry[SELLER])
     elif step == "E4":
-        offer_route, offer, _ = prior("E1")
-        _expect_route(row, offer_route[::-1])
-        open_receipt(prior("E2")[1], body.randomizer, registry[sender],
-                     offer.cert.goods_hash, sender)
+        offer = prior("E1")[0]
+        open_receipt(prior("E2")[0], body.randomizer, registry[BUYER],
+                     offer.cert.goods_hash, BUYER)
     elif step == "R1":
-        if recipient != ARBITER:
-            raise Reject("misrouted")
-        check_recovery_request(body, sender, arbiter_pub, registry)
+        check_recovery_request(body, SELLER, arbiter_pub, registry)
     else:
-        request_route, request, _ = prior("R1")
+        request = prior("R1")[0]
         if step == "R2":
-            _expect_route(row, (ARBITER, request_route[0]))
             if not rsa_verify(request.recovery_cert.pub, body.randomizer,
                               request.enc_randomizer):
                 raise Reject("residue-mismatch")
         else:
-            _expect_route(row, (ARBITER, request.counterparty))
+            # The one route the table cannot hold: R1 names whom R3 goes to.
+            if request.counterparty != BUYER:
+                raise Reject("misrouted")
             if body.randomizer != request.sender_randomizer:
                 raise Reject("forward-mismatch")
-    logged[sid, step] = ((sender, recipient), body, derived)
+    logged[sid, step] = (body, derived)
 
 
 def _check_evidence(party: str, row: dict, registry) -> tuple:

@@ -3,6 +3,7 @@ re-verification, including tamper detection on serialized fields and parity
 between the verifier and the party handlers."""
 
 import copy
+import dataclasses
 import json
 from functools import lru_cache
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import toy_config
 from rsa_cegd.credentials import _cert_digest, _recovery_cert_digest
-from rsa_cegd.crypto import PublicKey, hex_to_int, int_to_hex, rsa_sign
+from rsa_cegd.crypto import PublicKey, hex_to_int, int_to_hex, mod_pow, rsa_sign
 from rsa_cegd.harness import (
     BUYER,
     SELLER,
@@ -24,7 +25,7 @@ from rsa_cegd.harness import (
     session_goods,
     verify_report,
 )
-from rsa_cegd.protocol import ArbiterService, Reject
+from rsa_cegd.protocol import ArbiterService, Reject, check_offer, check_recovery_request
 from rsa_cegd.transcript import (
     BODIES,
     evidence_record,
@@ -33,7 +34,7 @@ from rsa_cegd.transcript import (
     row_pieces,
     write_report_lines,
 )
-from rsa_cegd.vres import make_auth_token
+from rsa_cegd.vres import _control_mask, make_auth_token
 
 
 def rows_for(report):
@@ -248,8 +249,7 @@ def test_misrouted_message_is_a_problem(mode, value):
     for index, record in enumerate(pristine):
         if record["type"] != "message":
             continue
-        keys = ["recipient", "sender"] if record["step"] in ("R2", "R3") else ["recipient"]
-        for key in keys:
+        for key in ("sender", "recipient"):
             rows = copy.deepcopy(pristine)
             if value == "delete":
                 del rows[index][key]
@@ -257,7 +257,8 @@ def test_misrouted_message_is_a_problem(mode, value):
                 rows[index][key] = next(p for p in parties if p != record[key])
             else:
                 rows[index][key] = value
-            # Reported once, at the message itself; nothing raises.
+            # Reported once, at the message itself, whatever the step's
+            # check would say of the new route; nothing raises.
             expected = f"session {record['session']} {record['step']}: misrouted"
             assert verify_report(rows) == [expected], f"{key} = {value!r}"
 
@@ -465,15 +466,19 @@ def _drop_forward_milestone(rows):
     rows[:] = [r for r in rows if r.get("label") != "eoo-forwarded-out-of-band"]
 
 
-@pytest.mark.parametrize("mode, edit, claimed", [
-    ("replay", _replay_as_honest, "honest"),
-    ("honest", _honest_as_eoo_forward, "eoo-forward"),
-    ("eoo-forward", _drop_forward_milestone, "eoo-forward"),
+@pytest.mark.parametrize("mode, edit, expected", [
+    ("replay", _replay_as_honest, ["header: mode 'honest' does not match the milestones"]),
+    # An eoo-forward world registers the outsider too.
+    ("honest", _honest_as_eoo_forward,
+     ["header: registry is not the parties of mode 'eoo-forward'",
+      "header: mode 'eoo-forward' does not match the milestones"]),
+    ("eoo-forward", _drop_forward_milestone,
+     ["header: mode 'eoo-forward' does not match the milestones"]),
 ], ids=["replay-as-honest", "honest-as-eoo-forward", "eoo-forward-without-forward"])
-def test_mode_must_match_milestones(mode, edit, claimed):
+def test_mode_must_match_milestones(mode, edit, expected):
     rows = _rows(mode)
     edit(rows)
-    assert verify_report(rows) == [f"header: mode '{claimed}' does not match the milestones"]
+    assert verify_report(rows) == expected
 
 
 # --- fuzz: the verifier never raises ----------------------------------------------
@@ -664,14 +669,30 @@ def _recovery_cert_exponent(step):
     return apply
 
 
-def _unregistered_requester(rows, world):
-    # The buyer's token names the requester, so it is signed anew for it.
-    r1 = _node(rows, (_R1,))
-    r1["sender"] = "nobody"
-    body = BODIES["R1"][1](r1["fields"])
-    token = make_auth_token(world.keyrings[BUYER].keys, body.recovery_cert,
-                            body.enc_randomizer, body.sender_enc_randomizer, "nobody")
-    r1["fields"]["auth_token"] = int_to_hex(token)
+def _seller_as_counterparty(rows, world):
+    # The seller signs a token that names itself, so R1 passes, and R3, which
+    # goes to the buyer, does not go to R1's counterparty.
+    fields = _node(rows, (_R1, "fields"))
+    fields["counterparty"] = SELLER
+    body = BODIES["R1"][1](fields)
+    token = make_auth_token(world.keyrings[SELLER].keys, body.recovery_cert,
+                            body.enc_randomizer, body.sender_enc_randomizer, SELLER)
+    fields["auth_token"] = int_to_hex(token)
+
+
+def _extra_registered_party(rows, world):
+    # A key the header's checks accept, and evidence that holds nothing.
+    header = rows[0]
+    header["registry"]["mallory"] = header["registry"][BUYER]
+    header["parties"] = sorted(header["registry"])
+    rows.insert(-1, {"type": "evidence", "party": "mallory", "goods": [],
+                     "receipts": [], "origin_proofs": []})
+
+
+def _registry_without_buyer(rows, world):
+    header = rows[0]
+    del header["registry"][BUYER]
+    header["parties"] = sorted(header["registry"])
 
 
 def _enc_key_sharing_a_factor(rows, world):
@@ -689,6 +710,49 @@ def _enc_key_sharing_a_factor(rows, world):
 def _e3_randomizer_without_inverse(rows, world):
     _node(rows, (("step", "E3"), "fields"))["randomizer"] = int_to_hex(
         world.keyrings[SELLER].keys.p)
+
+
+def _goods_hash_plus_one(rows, world):
+    # The CA re-signs the certificate and the seller the origin proof, so E1
+    # passes; E3's randomizer still unwraps the certified key, whose goods
+    # hash to the old value. The buyer's triple signs the old hash too.
+    fields = _node(rows, (_E1, "fields"))
+    cert = fields["cert"]
+    goods_hash = hex_to_int(cert["goods_hash"]) + 1
+    digest = _cert_digest(bytes.fromhex(cert["description"]),
+                          hex_to_int(cert["ciphertext_hash"]), goods_hash,
+                          hex_to_int(cert["enc_key"]), world.ca.keys.n)
+    cert["goods_hash"] = int_to_hex(goods_hash)
+    cert["signature"] = int_to_hex(rsa_sign(world.ca.keys, digest))
+    fields["origin_proof"] = int_to_hex(rsa_sign(world.keyrings[SELLER].keys, goods_hash))
+
+
+def _e4_randomizer_plus_buyer_modulus(rows, world):
+    # r + n unblinds like r, since it is r mod n, but it is another residue
+    # mod n', so it does not encrypt to E2's enc_randomizer.
+    fields = _node(rows, (("step", "E4"), "fields"))
+    fields["randomizer"] = int_to_hex(
+        hex_to_int(fields["randomizer"]) + world.keyrings[BUYER].keys.n)
+
+
+def _e4_randomizer_without_inverse(rows, world):
+    # A triple built by hand on the buyer's prime p, which generate_vres
+    # refuses: it passes check_vres, and p has no inverse mod n.
+    buyer, recovery = world.keyrings[BUYER].keys, world.buyer_recovery[1]
+    randomizer = buyer.p
+    enc_randomizer = mod_pow(randomizer, buyer.e, buyer.n * recovery.n)
+    offer = BODIES["E1"][1](_node(rows, (_E1, "fields")))
+    sender_enc_randomizer = check_offer(offer, world.ca.keys.public, world.registry[SELLER])
+    fields = _node(rows, (_E2, "fields"))
+    fields["enc_randomizer"] = int_to_hex(enc_randomizer)
+    fields["blinded_receipt"] = int_to_hex(
+        randomizer * rsa_sign(buyer, offer.cert.goods_hash) % buyer.n)
+    fields["control"] = int_to_hex(
+        randomizer * rsa_sign(recovery, _control_mask(enc_randomizer, recovery.n))
+        % recovery.n)
+    fields["auth_token"] = int_to_hex(make_auth_token(
+        buyer, world.buyer_recovery[0], enc_randomizer, sender_enc_randomizer, SELLER))
+    _node(rows, (("step", "E4"), "fields"))["randomizer"] = int_to_hex(randomizer)
 
 
 def _unknown_record_type(rows, world):
@@ -711,8 +775,9 @@ def _buyer_payload_flipped(rows, world):
 _PINNED_CHECKS = [
     ("unknown-step", "honest", _unknown_step, ["session 1 E5: unknown-step"]),
     ("missing-E1", "replay", _delete_message("E1", 2), ["session 2 E2: missing-E1"]),
-    ("missing-R1", "replay", _delete_message("R1", 2),
-     ["session 2 R2: missing-R1", "session 2 R3: missing-R1"]),
+    # Only the first dependent reports the missing message.
+    ("missing-R1", "replay", _delete_message("R1", 2), ["session 2 R2: missing-R1"]),
+    ("missing-E1-honest", "honest", _delete_message("E1", 1), ["session 1 E2: missing-E1"]),
     ("forward-mismatch", "replay", _flip_field("R3", "randomizer"),
      ["session 2 R3: forward-mismatch"]),
     ("residue-mismatch", "replay", _flip_field("R2", "randomizer"),
@@ -723,11 +788,22 @@ _PINNED_CHECKS = [
      ["session 2 R1: exponent-mismatch"]),
     ("r1-bad-recovery-cert", "replay", _flip_field("R1", "recovery_cert", "signature"),
      ["session 2 R1: bad-recovery-cert"]),
-    ("unknown-requester", "replay", _unregistered_requester,
-     ["session 2 R1: unknown-requester"]),
+    ("r3-not-to-counterparty", "replay", _seller_as_counterparty,
+     ["session 2 R3: misrouted"]),
+    ("extra-registered-party", "honest", _extra_registered_party,
+     ["header: registry is not the parties of mode 'honest'"]),
+    # The step checks need the buyer's key, so nothing past the header is checked.
+    ("registry-without-buyer", "replay", _registry_without_buyer,
+     ["header: registry is not the parties of mode 'replay'"]),
     ("bad-enc-key", "honest", _enc_key_sharing_a_factor, ["session 1 E1: bad-enc-key"]),
     ("e3-randomizer-without-inverse", "honest", _e3_randomizer_without_inverse,
      ["session 1 E3: bad-key"]),
+    ("goods-hash-plus-one", "honest", _goods_hash_plus_one,
+     ["session 1 E2: bad-vres", "session 1 E3: bad-key"]),
+    ("e4-randomizer-plus-buyer-modulus", "honest", _e4_randomizer_plus_buyer_modulus,
+     ["session 1 E4: bad-rb"]),
+    ("e4-randomizer-without-inverse", "honest", _e4_randomizer_without_inverse,
+     ["session 1 E4: bad-rb"]),
     ("unknown-record-type", "honest", _unknown_record_type, ["unknown record type 'note'"]),
     ("unknown-signer", "honest", _receipt_from_unregistered_signer,
      ["evidence for seller: receipt from unknown signer 'nobody'"]),
@@ -742,3 +818,28 @@ def test_verifier_check_is_pinned(mode, edit, expected):
     rows = _rows(mode)
     edit(rows, build_world(_config(mode)))
     assert verify_report(rows) == expected
+
+
+def test_wrong_randomizer_is_rejected_before_decryption(monkeypatch):
+    # key^e == enc_key is checked before the goods are decrypted, so a wrong
+    # E3 randomizer costs no pass over the ciphertext.
+    calls = []
+    monkeypatch.setattr("rsa_cegd.protocol.sym_decrypt", lambda *args: calls.append(args))
+    rows = _rows("honest")
+    _node(rows, (("step", "E3"), "fields"))["randomizer"] = int_to_hex(2)
+    assert verify_report(rows) == ["session 1 E3: bad-key"]
+    assert calls == []
+
+
+def test_unknown_requester_is_pinned():
+    # The verifier takes every R1 as the seller's (ROUTES), so only direct
+    # callers and the arbiter can name a requester the registry lacks. The
+    # buyer's token names the requester, so it is signed anew for it.
+    world = build_world(_config("replay"))
+    request = BODIES["R1"][1](_node(_rows("replay"), (_R1, "fields")))
+    token = make_auth_token(world.keyrings[BUYER].keys, request.recovery_cert,
+                            request.enc_randomizer, request.sender_enc_randomizer, "nobody")
+    with pytest.raises(Reject) as err:
+        check_recovery_request(dataclasses.replace(request, auth_token=token), "nobody",
+                               world.arbiter.keys.public, world.registry)
+    assert err.value.reason == "unknown-requester"
