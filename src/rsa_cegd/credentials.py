@@ -133,8 +133,6 @@ def issue_recoverable_cert(ttp: Identity, subject_exponent: int,
     exactly by re-deriving the mask. A keypair whose mask is not a unit
     mod n is thrown away and regenerated (only plausible at toy sizes).
     """
-    if subject_exponent < 3 or subject_exponent % 2 == 0:
-        raise ValueError("subject exponent must be odd and >= 3")
     for attempt in range(64):
         pair = rsa_keygen_with_exponent(bits, subject_exponent, seed + attempt)
         mask = _exponent_mask(ttp.keys, pair.public)

@@ -76,15 +76,33 @@ ROUTES = {"E1": (SELLER, BUYER), "E2": (BUYER, SELLER), "E3": (SELLER, BUYER),
 PARTIES = {"honest": (SELLER, BUYER), "replay": (SELLER, BUYER),
            "eoo-forward": (SELLER, BUYER, OUTSIDER)}
 
-# Mode -> the (session, label) milestones its run logs, in order.
-MILESTONES = {
-    "honest": [(1, "exchange-completed")],
-    "replay": [(1, "abort-after-E2"), (1, "recovery-material-stored"),
-               (2, "abort-after-E2"), (2, "stale-R1-accepted"),
-               (2, "stale-receipt-recovered"), (2, "stale-key-rejected"),
-               (2, "stale-key-opens-prior-session")],
-    "eoo-forward": [(1, "exchange-completed"), (1, "eoo-forwarded-out-of-band")],
-}
+
+def _shape(row: dict) -> tuple:
+    """A record's place in a run: ("message", session, step), ("milestone",
+    session, label), ("evidence", party) or (type,)."""
+    kind = row.get("type")
+    if kind in ("message", "milestone"):  # a tuple: kind may be unhashable
+        return kind, row.get("session"), row.get("step" if kind == "message" else "label")
+    return (kind, row.get("party")) if kind == "evidence" else (kind,)
+
+
+# Mode -> the shape of each record its run writes after the header, in order:
+# messages and milestones, one evidence row per party (sorted), the verdict.
+# Every run is checked against it, and so is every transcript.
+_EXCHANGE = (*(("message", 1, step) for step in ("E1", "E2", "E3", "E4")),
+             ("milestone", 1, "exchange-completed"))
+SKELETON = {mode: (*records, *(("evidence", party) for party in sorted(PARTIES[mode])),
+                   ("verdict",)) for mode, records in {
+    "honest": _EXCHANGE,
+    "replay": (("message", 1, "E1"), ("message", 1, "E2"), ("milestone", 1, "abort-after-E2"),
+               ("milestone", 1, "recovery-material-stored"), ("message", 2, "E1"),
+               ("message", 2, "E2"), ("milestone", 2, "abort-after-E2"),
+               ("message", 2, "R1"), ("milestone", 2, "stale-R1-accepted"),
+               ("message", 2, "R2"), ("milestone", 2, "stale-receipt-recovered"),
+               ("message", 2, "R3"), ("milestone", 2, "stale-key-rejected"),
+               ("milestone", 2, "stale-key-opens-prior-session")),
+    "eoo-forward": (*_EXCHANGE, ("milestone", 1, "eoo-forwarded-out-of-band")),
+}.items()}
 
 # At 16 MiB of goods a run peaks 47-64 MiB and its verification about 111
 # MiB above the interpreter's own ~21 MiB of RSS: 3-7 times the goods.
@@ -184,7 +202,7 @@ class AttackReport:
 
     @property
     def narrative(self) -> list[str]:
-        return [label for _, label in _milestones(self.records)]
+        return [row["label"] for row in self.records if row["type"] == "milestone"]
 
     def rows(self) -> list[dict]:
         return transcript.report_rows(self.header, self.records, self.evidence,
@@ -264,18 +282,15 @@ def evaluate_fairness(ledgers: dict[str, EvidenceLedger]) -> FairnessVerdict:
     return FairnessVerdict(FAIR)
 
 
-def _milestones(rows: list) -> list[tuple]:
-    return [(row["session"], row["label"]) for row in rows if row["type"] == "milestone"]
-
-
 def _report(world: World, expected: str) -> AttackReport:
-    _expect(_milestones(world.records) == MILESTONES[world.config.mode],
-            "milestones differ from MILESTONES")
     verdict = evaluate_fairness(world.ledgers)
     _expect(verdict.status == expected, f"verdict {verdict.status}")
     evidence = {party: transcript.evidence_record(party, ledger)
                 for party, ledger in world.ledgers.items()}
-    return AttackReport(world.header(), world.records, evidence, verdict)
+    report = AttackReport(world.header(), world.records, evidence, verdict)
+    _expect(tuple(map(_shape, report.rows()[1:])) == SKELETON[world.config.mode],
+            "records differ from SKELETON")
+    return report
 
 
 def _expect(condition: bool, what: str) -> None:
@@ -396,18 +411,18 @@ def run_mode(config: RunConfig) -> AttackReport:
 
 # ---------------------------------------------------------------------------
 # Transcript verification: check the header's fields against each other and
-# the record order, run each message's step check from protocol against the
-# session's logged E1, E2 and R1, decode one evidence row per registered
-# party into a ledger and re-check its items, check the header's mode
-# against the milestones (MILESTONES), and recompute the verdict from the
-# ledgers once every row decoded. Message problems read
-# "session <sid> <step>: <code>" with the handlers' codes plus misrouted (a
-# route other than the step's in ROUTES, or an R3 not to R1's counterparty),
-# goods-size-mismatch (E1), missing-E1/-E2/-R1, residue-mismatch (R2),
+# each record's shape against the mode's SKELETON as the rows stream (the
+# first divergence is one "record N: expected ..., found ..." problem), run
+# each message's step check from protocol against the session's logged E1, E2
+# and R1, decode each evidence row into a ledger and re-check its items, and
+# recompute the verdict. The step checks run on every message, in place or
+# not. Message problems read "session <sid> <step>: <code>" with the handlers'
+# codes plus misrouted (a route other than the step's in ROUTES, or an R3 not
+# to R1's counterparty), goods-size-mismatch (E1), residue-mismatch (R2),
 # forward-mismatch (R3) and unknown-step. A message that depends on a missing
-# or failed E1, E2 or R1 is not checked, so each fault is reported once.
-# R2 and R3 are checked as the arbiter's output, not with the parties' own
-# checks: the buyer's rejection of a stale R3 is the recorded attack.
+# or failed E1, E2 or R1 is not checked. R2 and R3 are checked as the
+# arbiter's output, not with the parties' own checks: the buyer's rejection
+# of a stale R3 is the recorded attack.
 
 # What a record of the wrong shape raises while it is checked: a missing key,
 # a value of the wrong JSON type, or text that is not hex.
@@ -426,7 +441,7 @@ _RECORD_KEYS = {
 
 
 class _Unchecked(Exception):
-    """The message depends on an earlier one that failed its own check."""
+    """The message depends on an earlier one that is missing or failed."""
 
 
 def verify_report(rows: Iterable[dict]) -> list[str]:
@@ -449,21 +464,21 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
         return [f"malformed header: {exc}"]
     _check_header(header, exponent,
                   [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter_pub)], problems)
-    if SELLER not in registry or BUYER not in registry:
-        return problems  # each message's check would repeat the header's problem
+    # Without a known mode there is no skeleton, and without the mode's parties
+    # each message's check would repeat the header's problem. MODES is a
+    # tuple, since the mode may be unhashable.
+    mode = header.get("mode")
+    if mode not in MODES or sorted(registry) != sorted(PARTIES[mode]):
+        return problems
+    skeleton = (*SKELETON[mode], None)  # None: the end of the file
 
-    # (session, step) -> None until the message passes its check, or once it
-    # is found missing, then (decoded body, derived): derived is E1's sender
-    # encrypted randomizer and None for the other steps.
-    logged: dict[tuple, tuple | None] = {}
-    # party -> (its ledger, or None if the row is malformed; its problems),
-    # reported after the loop in party order.
-    evidence: dict[str, tuple] = {}
-    milestones: list[tuple] = []
-    # A milestone without a valid session has no place in the sequence.
-    milestones_checkable = True
-    evidence_seen = False
-    verdict_row = None
+    # (session, step) -> (decoded body, derived) of each message that passed
+    # its check: derived is E1's sender encrypted randomizer, else None.
+    logged: dict[tuple, tuple] = {}
+    ledgers: dict[str, EvidenceLedger] = {}
+    # Whether every record so far has its skeleton shape; once one has not,
+    # no shape is compared, and no evidence or verdict checked.
+    in_place = True
 
     # Counted by hand: enumerate would hold each row until the next is read.
     number = 1
@@ -471,12 +486,9 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
         number += 1
         if not isinstance(row, dict):
             problems.append(f"record {number} is not a JSON object")
+            in_place = False
             continue
         kind = row.get("type")
-        if verdict_row is not None and kind != "verdict":
-            problems.append(f"record {number}: record after the verdict")
-        elif evidence_seen and kind in ("message", "milestone"):
-            problems.append(f"record {number}: {kind} record after the evidence")
         if (kind in ("message", "milestone", "evidence")  # kind may be unhashable
                 and not row.keys() <= _RECORD_KEYS[kind]):
             problems.extend(f"record {number}: unknown key {key!r}"
@@ -485,9 +497,11 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
             session = row.get("session")
             if type(session) is not int or session < 1:  # not isinstance: True is an int
                 problems.append(f"record {number}: {kind} session is not a positive integer")
-                if kind == "milestone":
-                    milestones_checkable = False
                 continue
+        if in_place and _shape(row) != skeleton[number - 2]:
+            problems.append(f"record {number}: expected {_describe(skeleton[number - 2])}, "
+                            f"found {_describe(_shape(row))}")
+            in_place = False
         if kind == "message":
             try:
                 _check_message(row, logged, registry, ca_pub, arbiter_pub,
@@ -498,55 +512,33 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
                 pass
             except _MALFORMED as exc:
                 problems.append(f"malformed {row.get('step')} record: {exc}")
-        elif kind == "evidence":
-            evidence_seen = True
-            party = row.get("party")
-            if not isinstance(party, str):
-                problems.append(f"record {number}: evidence without a party name")
-            elif party not in registry:
-                problems.append(f"record {number}: evidence for unknown party {party!r}")
-            elif party in evidence:
-                problems.append(f"record {number}: duplicate evidence for {party}")
-            else:
-                evidence[party] = _check_evidence(party, row, registry)
+        elif in_place and kind == "evidence":
+            ledger, found = _check_evidence(row, registry)
+            problems.extend(found)
+            if ledger is not None:
+                ledgers[row["party"]] = ledger
             # Not held while the next row is read: it holds the goods' hex.
             row = None
-        elif kind == "verdict":
-            if verdict_row is None:
-                verdict_row = row
-            else:
-                problems.append(f"record {number}: second verdict record")
-        elif kind == "header":
-            problems.append(f"record {number}: duplicate header record")
-        elif kind == "milestone":
-            milestones.append((row.get("session"), row.get("label")))
-        else:
-            problems.append(f"unknown record type {kind!r}")
-
-    ledgers: dict[str, EvidenceLedger] = {}
-    for party in sorted(registry):
-        if party not in evidence:
-            problems.append(f"missing evidence for {party}")
-            continue
-        ledger, found = evidence[party]
-        problems.extend(found)
-        if ledger is not None:
-            ledgers[party] = ledger
-
-    mode = header.get("mode")
-    if mode in MODES and milestones_checkable and milestones != MILESTONES[mode]:
-        problems.append(f"header: mode {mode!r} does not match the milestones")
-
-    if verdict_row is None:
-        problems.append("missing verdict record")
-        return problems
-    # Without every ledger, a recomputed verdict would only repeat a fault.
-    if len(ledgers) == len(registry):
-        recomputed = evaluate_fairness(ledgers).to_record()
-        if recomputed != verdict_row:
-            problems.append(
-                f"verdict mismatch: recorded {verdict_row}, recomputed {recomputed}")
+        # Without every ledger, a recomputed verdict would only repeat a fault.
+        elif in_place and kind == "verdict" and len(ledgers) == len(registry):
+            recomputed = evaluate_fairness(ledgers).to_record()
+            if recomputed != row:
+                problems.append(f"verdict mismatch: recorded {row}, recomputed {recomputed}")
+    if in_place and skeleton[number - 1] is not None:
+        problems.append(f"record {number + 1}: expected "
+                        f"{_describe(skeleton[number - 1])}, found the end")
     return problems
+
+
+def _describe(shape: tuple | None) -> str:
+    """A shape (see _shape) in words; None is the end of the file."""
+    if shape is None:
+        return "the end"
+    if shape[0] in ("message", "milestone"):
+        return f"{shape[0]} {shape[2]} of session {shape[1]}"
+    if shape[0] == "evidence":
+        return f"evidence for {shape[1]}"
+    return "the verdict" if shape[0] == "verdict" else f"a record of type {shape[0]!r}"
 
 
 def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) -> None:
@@ -590,17 +582,13 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
     step, sid = row["step"], row["session"]
     if step not in transcript.BODIES:
         raise Reject("unknown-step")
-    logged[sid, step] = None
     body = transcript.BODIES[step][1](row["fields"])
     if (row.get("sender"), row.get("recipient")) != ROUTES[step]:
         raise Reject("misrouted")
     derived = None
 
-    def prior(tag: str) -> tuple:
+    def prior(tag: str) -> tuple:  # a missing one is the skeleton's problem
         if (sid, tag) not in logged:
-            logged[sid, tag] = None  # its other dependents are not checked
-            raise Reject(f"missing-{tag}")
-        if logged[sid, tag] is None:
             raise _Unchecked
         return logged[sid, tag]
 
@@ -635,9 +623,10 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
     logged[sid, step] = (body, derived)
 
 
-def _check_evidence(party: str, row: dict, registry) -> tuple:
+def _check_evidence(row: dict, registry) -> tuple:
     """(ledger, problems) of one party's evidence row: the ledger is None if
     the row does not decode, and keeps only the hashes of its goods."""
+    party = row["party"]
     try:
         ledger = transcript.ledger_from_record(row)
     except _MALFORMED as exc:

@@ -1,11 +1,9 @@
 """Transcript records and the JSON-lines report file format.
 
-A report file is one JSON object per line, in order:
-
-  1. exactly one header record,
-  2. message and milestone records, chronologically,
-  3. one evidence record per party, parties sorted,
-  4. exactly one verdict record.
+A report file is one JSON object per line: a header record, then the
+records of its mode's run in the order harness.SKELETON lists (messages and
+milestones as they happened, one evidence record per party, parties sorted,
+and the verdict record).
 
 Record shapes (all big integers in canonical lowercase hex, all byte
 strings in lowercase hex with no spaces):

@@ -20,8 +20,10 @@ makes the blinding factor reappear as enc_randomizer's residue,
 
 so the two checks verify blinded_receipt as an RSA signature on y * h
 under (e, n) and control as one on y * m(y) under (e, n'), with
-y = enc_randomizer, plus the range bound y < n * n'. The same blinding
-factor must satisfy both, which is what the control value certifies.
+y = enc_randomizer, plus the range bound y < n * n'. Nothing ties the two
+to one blinding factor: a signer who holds d' as well as d, as the buyer
+does here (ReceiverSession.recovery_keys), completes any y < n * n' into a
+passing triple, whose residues mod n and mod n' need not encrypt one value.
 
 Cross-decryption. Because both key pairs share the public exponent, the
 residues of y are r^e mod n and r^e mod n' simultaneously, so either
@@ -139,8 +141,8 @@ def generate_vres(goods_hash: int, signer: RsaKeyPair,
 def check_vres(triple: VresTriple, goods_hash: int, signer_pub: PublicKey,
                recovery_pub: PublicKey) -> str | None:
     """None when both congruences and the range bound hold, else a reason
-    code. Passing tells the verifier the triple unblinds to the receipt for
-    `goods_hash` without revealing either the receipt or the blinding."""
+    code. Passing does not show that the triple unblinds to the receipt for
+    `goods_hash`: a signer who holds d' passes with any y (see above)."""
     y = triple.enc_randomizer
     if y >= signer_pub.n * recovery_pub.n:
         return "enc-randomizer-range"

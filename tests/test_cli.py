@@ -110,20 +110,25 @@ def drop_buyer_evidence(rows):
 
 @pytest.mark.parametrize("corrupt, expected", [
     (drop_receipts, "FAIL: malformed evidence for buyer: 'receipts'"),
-    (drop_party, "FAIL: record 16: evidence without a party name"),
+    (drop_party, "FAIL: record 16: expected evidence for buyer, found evidence for None"),
     (non_hex_receipt, "FAIL: malformed evidence for seller: invalid literal"),
     (object_goods, "FAIL: malformed evidence for buyer: goods is not a list"),
     (duplicate_receipt, "FAIL: malformed evidence for seller: evidence lists an item twice"),
     (list_record, "FAIL: record 4 is not a JSON object"),
     (list_registry, "FAIL: malformed header: 'list' object has no attribute 'items'"),
-    (second_header, "FAIL: record 2: duplicate header record"),
-    (second_verdict, "FAIL: record 19: second verdict record"),
-    (bad_row_before_genuine, "FAIL: record 18: duplicate evidence for seller\n"
-                             "FAIL: evidence for seller: receipt does not verify"),
-    (unknown_party, "FAIL: record 16: evidence for unknown party 'mallory'"),
-    (record_after_verdict, "FAIL: record 19: record after the verdict"),
-    (milestone_after_evidence, "FAIL: record 18: milestone record after the evidence"),
-    (drop_buyer_evidence, "FAIL: missing evidence for buyer"),
+    (second_header, "FAIL: record 2: expected message E1 of session 1, "
+                   "found a record of type 'header'"),
+    (second_verdict, "FAIL: record 19: expected the end, found the verdict"),
+    (bad_row_before_genuine, "FAIL: evidence for seller: receipt does not verify\n"
+                             "FAIL: record 18: expected the verdict, found evidence for seller"),
+    (unknown_party, "FAIL: record 16: expected evidence for buyer, "
+                    "found evidence for mallory"),
+    (record_after_verdict, "FAIL: record 19: expected the end, "
+                           "found message E1 of session 1"),
+    (milestone_after_evidence, "FAIL: record 18: expected the verdict, "
+                               "found milestone abort-after-E2 of session 1"),
+    (drop_buyer_evidence, "FAIL: record 16: expected evidence for buyer, "
+                          "found evidence for seller"),
 ], ids=["no-receipts", "no-party", "non-hex-value", "object-goods", "duplicate-receipt",
         "list-record", "list-registry",
         "second-header", "second-verdict", "duplicate-evidence", "unknown-party",

@@ -124,3 +124,24 @@ def test_subject_exponent_shared():
     ttp = arbiter()
     cert, pair = issue_recoverable_cert(ttp, 3, 64, seed=2)
     assert cert.pub.e == 3 == pair.e
+
+
+def test_no_invertible_mask_raises_invalid_key(monkeypatch):
+    # Each of the 64 keypairs is thrown away when its mask is not a unit.
+    calls = []
+
+    def non_unit_mask(ttp_keys, pub):
+        calls.append(pub)
+        return 0  # gcd(0, n) = n
+
+    monkeypatch.setattr("rsa_cegd.credentials._exponent_mask", non_unit_mask)
+    with pytest.raises(InvalidKey):
+        issue_recoverable_cert(arbiter(), 3, 32, seed=1)
+    assert len(calls) == 64
+
+
+@pytest.mark.parametrize("exponent", [1, 4])
+def test_bad_subject_exponent_raises(exponent):
+    # Keygen refuses the exponent, before any mask is derived.
+    with pytest.raises(ValueError, match="public exponent must be odd and >= 3"):
+        issue_recoverable_cert(arbiter(), exponent, 32, seed=1)

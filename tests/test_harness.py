@@ -109,6 +109,12 @@ def test_run_honest_checks_its_verdict(monkeypatch):
         run_honest(toy_config(seed=3))
 
 
+def test_run_checks_its_records(monkeypatch):
+    monkeypatch.setitem(harness.SKELETON, "honest", harness.SKELETON["honest"][1:])
+    with pytest.raises(ScriptError, match="records differ from SKELETON"):
+        run_honest(toy_config(seed=3))
+
+
 @pytest.mark.parametrize("overrides", [dict(mode="nope"), dict(bits=8), dict(seed=-1),
                                        dict(goods_size=1 << 24 | 1)],
                          ids=["mode", "bits", "seed", "goods_size"])

@@ -113,8 +113,7 @@ def test_detects_missing_header():
 def test_detects_missing_verdict():
     report = run_honest(toy_config(seed=7))
     rows = rows_for(report)
-    problems = verify_report(rows[:-1])
-    assert any("missing verdict" in p for p in problems)
+    assert verify_report(rows[:-1]) == ["record 9: expected the verdict, found the end"]
 
 
 def test_stale_recovery_transcript_still_verifies():
@@ -370,6 +369,13 @@ def _outsider_modulus_plus_one(rows):
     key["n"] = int_to_hex(hex_to_int(key["n"]) + 1)
 
 
+def _set(path, value):
+    """Sets the leaf `path` leads to (see _node) to `value`."""
+    def apply(rows):
+        _node(rows, path[:-1])[path[-1]] = value
+    return apply
+
+
 _NON_CANONICAL = "hex is not in canonical form"
 _ONE_PROBLEM_EDITS = [
     ("receipt-0x", "replay", _edit_seller_receipt(lambda v: "0x" + v),
@@ -425,6 +431,11 @@ _ONE_PROBLEM_EDITS = [
      "header: arbiter id is not 'arbiter'"),
     ("outsider-modulus-even", "eoo-forward", _outsider_modulus_plus_one,
      "header: outsider key modulus is not odd and above its exponent"),
+    # A party name that is not a string is malformed, not an unknown party.
+    ("receipt-signer-number", "replay", _set((("party", "seller"), "receipts", 0, "signer"), 5),
+     "malformed evidence for seller: party name must be a string, not int"),
+    ("r1-counterparty-number", "replay", _set((("step", "R1"), "fields", "counterparty"), 5),
+     "malformed R1 record: party name must be a string, not int"),
 ]
 
 
@@ -452,7 +463,7 @@ def test_session_must_be_positive_int(mode, value):
     assert verify_report(rows) == expected
 
 
-# --- the header's mode against the milestones -------------------------------------
+# --- the header's mode against the records (SKELETON) ------------------------------
 
 def _replay_as_honest(rows):
     rows[0]["mode"] = "honest"
@@ -467,13 +478,15 @@ def _drop_forward_milestone(rows):
 
 
 @pytest.mark.parametrize("mode, edit, expected", [
-    ("replay", _replay_as_honest, ["header: mode 'honest' does not match the milestones"]),
-    # An eoo-forward world registers the outsider too.
+    ("replay", _replay_as_honest,
+     ["record 4: expected message E3 of session 1, found milestone abort-after-E2 of session 1"]),
+    # An eoo-forward world registers the outsider too, and without the mode's
+    # parties nothing past the header is checked.
     ("honest", _honest_as_eoo_forward,
-     ["header: registry is not the parties of mode 'eoo-forward'",
-      "header: mode 'eoo-forward' does not match the milestones"]),
+     ["header: registry is not the parties of mode 'eoo-forward'"]),
     ("eoo-forward", _drop_forward_milestone,
-     ["header: mode 'eoo-forward' does not match the milestones"]),
+     ["record 7: expected milestone eoo-forwarded-out-of-band of session 1, "
+      "found evidence for buyer"]),
 ], ids=["replay-as-honest", "honest-as-eoo-forward", "eoo-forward-without-forward"])
 def test_mode_must_match_milestones(mode, edit, expected):
     rows = _rows(mode)
@@ -546,6 +559,90 @@ def test_verifier_never_raises(field_edits, record_edits):
     problems = verify_report(rows)
     assert isinstance(problems, list)
     assert all(isinstance(p, str) for p in problems)
+
+
+# --- sweep: one accepted spelling per transcript ------------------------------------
+
+_DELETE = object()
+
+
+def _leaves(node, path=()):
+    """The path to every leaf of a record: keys and list indices."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in children:
+        yield from _leaves(child, path + (key,))
+
+
+def _walk(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _leaf_edits(value, moduli):
+    """(name, new value) of each edit of one leaf; _DELETE deletes it."""
+    yield "null", None
+    yield "delete", _DELETE
+    if type(value) is int:
+        yield "+1", value + 1
+        yield "string", str(value)
+        return
+    yield "string", value + "0"
+    try:
+        number = hex_to_int(value)
+    except ValueError:
+        return  # a name, not a hex integer
+    yield "+1", int_to_hex(number + 1)
+    for index, modulus in enumerate(moduli):
+        yield f"+modulus {index}", int_to_hex(number + modulus)
+
+
+def _record_edits(count):
+    """(name, rows -> edited rows) of each delete, duplicate and neighbour swap
+    of the records after the header."""
+    for i in range(1, count):
+        yield f"delete {i}", lambda rows, i=i: rows[:i] + rows[i + 1:]
+        yield f"duplicate {i}", lambda rows, i=i: rows[:i + 1] + rows[i:]
+        if i + 1 < count:
+            yield f"swap {i}", lambda rows, i=i: [*rows[:i], rows[i + 1], rows[i], *rows[i + 2:]]
+
+
+@pytest.mark.parametrize("mode", ["honest", "replay", "eoo-forward"])
+def test_every_edit_is_a_problem(mode):
+    # Every leaf edited four ways (+1, a string edit, null, deleted), each hex
+    # integer also plus each header modulus, the E2 recovery modulus and each
+    # product of two of them; every record deleted, duplicated and swapped with
+    # its neighbour. Only the seed's value needs a re-run to check, so only
+    # seed + 1 verifies clean. The verifier reads rows without editing them, so
+    # the edited rows share every record but the one edit.
+    lines, rows = _lines(mode), _rows(mode)
+    header = rows[0]
+    keys = [*header["registry"].values(), header["ca"], header["arbiter"],
+            _node(rows, (_E2, "fields", "recovery_cert"))]
+    single = [hex_to_int(key["n"]) for key in keys]
+    moduli = single + [a * b for index, a in enumerate(single) for b in single[index + 1:]]
+    clean = []
+    for index, line in enumerate(lines):
+        for *path, leaf in _leaves(rows[index]):
+            for name, value in _leaf_edits(_walk(rows[index], path)[leaf], moduli):
+                record = json.loads(line)
+                parent = _walk(record, path)
+                if value is _DELETE:
+                    del parent[leaf]
+                else:
+                    parent[leaf] = value
+                if verify_report([*rows[:index], record, *rows[index + 1:]]) == []:
+                    clean.append((index, (*path, leaf), name))
+    for name, edit in _record_edits(len(rows)):
+        if verify_report(edit(rows)) == []:
+            clean.append(name)
+    assert clean == [(0, ("seed",), "+1")]
 
 
 # --- signatures must lie below their modulus --------------------------------------
@@ -759,6 +856,18 @@ def _unknown_record_type(rows, world):
     rows.insert(1, {"type": "note"})
 
 
+def _not_an_object(rows, world):
+    rows.insert(3, [1, 2])
+
+
+def _buyer_party_in_a_list(rows, world):
+    _node(rows, (("party", BUYER),))["party"] = [BUYER]
+
+
+def _second_verdict(rows, world):
+    rows.append({"type": "verdict", "verdict": "UNFAIR_FOR_A"})
+
+
 def _receipt_from_unregistered_signer(rows, world):
     receipt = _node(rows, (("party", "seller"), "receipts", 0))
     receipt["signer"] = "nobody"
@@ -773,11 +882,18 @@ def _buyer_payload_flipped(rows, world):
 
 
 _PINNED_CHECKS = [
-    ("unknown-step", "honest", _unknown_step, ["session 1 E5: unknown-step"]),
-    ("missing-E1", "replay", _delete_message("E1", 2), ["session 2 E2: missing-E1"]),
-    # Only the first dependent reports the missing message.
-    ("missing-R1", "replay", _delete_message("R1", 2), ["session 2 R2: missing-R1"]),
-    ("missing-E1-honest", "honest", _delete_message("E1", 1), ["session 1 E2: missing-E1"]),
+    # The step checks run on messages out of place too.
+    ("unknown-step", "honest", _unknown_step,
+     ["record 5: expected message E4 of session 1, found message E5 of session 1",
+      "session 1 E5: unknown-step"]),
+    # A missing message is the skeleton's problem; its dependents are not checked.
+    ("missing-E1", "replay", _delete_message("E1", 2),
+     ["record 6: expected message E1 of session 2, found message E2 of session 2"]),
+    ("missing-R1", "replay", _delete_message("R1", 2),
+     ["record 9: expected message R1 of session 2, "
+      "found milestone stale-R1-accepted of session 2"]),
+    ("missing-E1-honest", "honest", _delete_message("E1", 1),
+     ["record 2: expected message E1 of session 1, found message E2 of session 1"]),
     ("forward-mismatch", "replay", _flip_field("R3", "randomizer"),
      ["session 2 R3: forward-mismatch"]),
     ("residue-mismatch", "replay", _flip_field("R2", "randomizer"),
@@ -804,7 +920,17 @@ _PINNED_CHECKS = [
      ["session 1 E4: bad-rb"]),
     ("e4-randomizer-without-inverse", "honest", _e4_randomizer_without_inverse,
      ["session 1 E4: bad-rb"]),
-    ("unknown-record-type", "honest", _unknown_record_type, ["unknown record type 'note'"]),
+    ("unknown-record-type", "honest", _unknown_record_type,
+     ["record 2: expected message E1 of session 1, found a record of type 'note'"]),
+    # A record that is not an object ends the comparison, so the records after
+    # it are not each reported as out of place.
+    ("not-an-object", "honest", _not_an_object, ["record 4 is not a JSON object"]),
+    # Evidence and a verdict out of place are not checked: a party that is a
+    # list is never used as a key, and a second verdict is not compared.
+    ("evidence-party-in-a-list", "honest", _buyer_party_in_a_list,
+     ["record 7: expected evidence for buyer, found evidence for ['buyer']"]),
+    ("second-verdict", "honest", _second_verdict,
+     ["record 10: expected the end, found the verdict"]),
     ("unknown-signer", "honest", _receipt_from_unregistered_signer,
      ["evidence for seller: receipt from unknown signer 'nobody'"]),
     ("goods-hash-mismatch", "honest", _buyer_payload_flipped,

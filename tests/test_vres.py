@@ -256,6 +256,29 @@ def test_vres_tampering_randomized():
         assert not verify_vres(triple, goods_hash + 1, buyer.public, recovery.public)
 
 
+def test_signer_holding_both_exponents_passes_any_y():
+    # check_vres proves only that its signer can sign y*h under (e, n) and
+    # y*m(y) under (e, n'). The buyer holds d' as well as d
+    # (ReceiverSession.recovery_keys), so it can complete any y into a passing
+    # triple whose two residues encrypt different values: the arbiter's
+    # opening of y then re-encrypts to another y and unblinds no receipt.
+    # Pinned as it is; nothing here fixes it.
+    rng = random.Random(10)
+    buyer = rsa_keygen_with_exponent(64, 3, seed=31)
+    recovery = rsa_keygen_with_exponent(64, 3, seed=32)
+    combined = buyer.n * recovery.n
+    goods_hash = rng.getrandbits(256)
+    for _ in range(25):
+        y = rng.randrange(combined)
+        mask = vres_mod._control_mask(y, recovery.n)
+        triple = VresTriple(y, rsa_sign(buyer, y * goods_hash), rsa_sign(recovery, y * mask))
+        assert check_vres(triple, goods_hash, buyer.public, recovery.public) is None
+        opened = recover_randomizer(y, recovery.d, recovery.n)
+        assert mod_pow(opened, buyer.e, combined) != y
+        with pytest.raises(RecoveryMismatch):
+            recover_receipt(triple.blinded_receipt, opened, buyer.public, goods_hash, "buyer")
+
+
 # --- evidence tokens ---------------------------------------------------------
 
 def toy_recovery_cert():
