@@ -462,15 +462,10 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
         exponent = hex_to_int(header["exponent"])
     except (*_MALFORMED, AttributeError) as exc:  # registry not an object
         return [f"malformed header: {exc}"]
-    _check_header(header, exponent,
-                  [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter_pub)], problems)
-    # Without a known mode there is no skeleton, and without the mode's parties
-    # each message's check would repeat the header's problem. MODES is a
-    # tuple, since the mode may be unhashable.
-    mode = header.get("mode")
-    if mode not in MODES or sorted(registry) != sorted(PARTIES[mode]):
+    keys = [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter_pub)]
+    if not _check_header(header, exponent, keys, problems):
         return problems
-    skeleton = (*SKELETON[mode], None)  # None: the end of the file
+    skeleton = (*SKELETON[header["mode"]], None)  # None: the end of the file
 
     # (session, step) -> (decoded body, derived) of each message that passed
     # its check: derived is E1's sender encrypted randomizer, else None.
@@ -497,6 +492,7 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
             session = row.get("session")
             if type(session) is not int or session < 1:  # not isinstance: True is an int
                 problems.append(f"record {number}: {kind} session is not a positive integer")
+                in_place = False
                 continue
         if in_place and _shape(row) != skeleton[number - 2]:
             problems.append(f"record {number}: expected {_describe(skeleton[number - 2])}, "
@@ -541,10 +537,11 @@ def _describe(shape: tuple | None) -> str:
     return "the verdict" if shape[0] == "verdict" else f"a record of type {shape[0]!r}"
 
 
-def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) -> None:
+def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) -> bool:
     """The header's own fields against each other; `keys` holds a (name, key)
     pair per public key the header lists. The run configuration passes the
-    checks a run's arguments pass; only the seed's value needs a re-run."""
+    checks a run's arguments pass; only the seed's value needs a re-run.
+    True if the records can be checked: a known mode, with its parties as the registry."""
     for key in sorted(header.keys() - _RECORD_KEYS["header"]):
         problems.append(f"header: unknown key {key!r}")
     if type(header.get("format")) is not int or header["format"] != 1:
@@ -556,9 +553,6 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
         problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):
         problems.append("header: parties do not match the registry")
-    mode = header.get("mode")
-    if mode in MODES and sorted(header["registry"]) != sorted(PARTIES[mode]):
-        problems.append(f"header: registry is not the parties of mode {mode!r}")
     # The ids build_world writes; R1..R3 are routed by ROUTES, not the header.
     for name, principal_id in (("ca", CERT_AUTHORITY), ("arbiter", ARBITER)):
         if header[name].get("id") != principal_id:
@@ -570,6 +564,13 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
             problems.append(f"header: {name} key modulus is not {header.get('bits')!r} bits")
         if pub.n % 2 == 0 or pub.n <= pub.e:
             problems.append(f"header: {name} key modulus is not odd and above its exponent")
+    mode = header.get("mode")
+    if mode not in MODES:  # RunConfig's problem; a tuple, since mode may be unhashable
+        return False
+    if sorted(header["registry"]) != sorted(PARTIES[mode]):
+        problems.append(f"header: registry is not the parties of mode {mode!r}")
+        return False
+    return True
 
 
 def _principal_key(entry: dict) -> PublicKey:

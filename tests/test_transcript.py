@@ -8,7 +8,7 @@ import json
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import toy_config
 from rsa_cegd.credentials import _cert_digest, _recovery_cert_digest
@@ -518,7 +518,7 @@ def _paths(node, prefix=()):
 _FUZZ_PATHS = list(_paths(_FUZZ_ROWS))
 _field_edit = st.tuples(st.sampled_from(_FUZZ_PATHS),
                         st.sampled_from(list(range(len(_BAD_VALUES))) + ["delete"]))
-_record_edit = st.tuples(st.sampled_from(["delete", "duplicate", "swap"]),
+_record_edit = st.tuples(st.sampled_from(["delete", "duplicate", "append", "swap"]),
                          st.integers(0, len(_FUZZ_ROWS) - 1),
                          st.integers(0, len(_FUZZ_ROWS) - 1))
 
@@ -542,6 +542,8 @@ def _apply_record_edit(rows, op, i, j):
         del rows[i]
     elif op == "duplicate":
         rows.insert(j, copy.deepcopy(rows[i]))
+    elif op == "append":  # insert cannot put a row after the last
+        rows.append(copy.deepcopy(rows[i]))
     else:
         rows[i], rows[j] = rows[j], rows[i]
 
@@ -549,6 +551,9 @@ def _apply_record_edit(rows, op, i, j):
 @settings(max_examples=300, deadline=None)
 @given(field_edits=st.lists(_field_edit, max_size=3),
        record_edits=st.lists(_record_edit, max_size=2))
+# A row with a session of the wrong type, appended after the verdict: there is
+# no skeleton entry left for it, so it must end the comparison.
+@example(field_edits=[((7, "session"), 0)], record_edits=[("append", 7, 0)])
 def test_verifier_never_raises(field_edits, record_edits):
     rows = copy.deepcopy(_FUZZ_ROWS)
     for path, choice in field_edits:
@@ -868,6 +873,14 @@ def _second_verdict(rows, world):
     rows.append({"type": "verdict", "verdict": "UNFAIR_FOR_A"})
 
 
+def _bad_session_after_verdict(rows, world):
+    rows.append({"type": "milestone", "session": 0, "label": "x"})
+
+
+def _bad_session_then_verdict(rows, world):
+    rows += [{"type": "milestone", "session": 0, "label": "x"}, rows[-1]]
+
+
 def _receipt_from_unregistered_signer(rows, world):
     receipt = _node(rows, (("party", "seller"), "receipts", 0))
     receipt["signer"] = "nobody"
@@ -931,6 +944,12 @@ _PINNED_CHECKS = [
      ["record 7: expected evidence for buyer, found evidence for ['buyer']"]),
     ("second-verdict", "honest", _second_verdict,
      ["record 10: expected the end, found the verdict"]),
+    # A record whose session is not a positive integer also ends the comparison,
+    # wherever it is: past the verdict, there is no skeleton entry to compare.
+    ("bad-session-after-verdict", "honest", _bad_session_after_verdict,
+     ["record 10: milestone session is not a positive integer"]),
+    ("bad-session-then-verdict", "honest", _bad_session_then_verdict,
+     ["record 10: milestone session is not a positive integer"]),
     ("unknown-signer", "honest", _receipt_from_unregistered_signer,
      ["evidence for seller: receipt from unknown signer 'nobody'"]),
     ("goods-hash-mismatch", "honest", _buyer_payload_flipped,
