@@ -41,7 +41,7 @@ def int_to_hex(value: int) -> str:
 def hex_to_int(text: str) -> int:
     """Inverse of int_to_hex: only the canonical form is accepted."""
     value = int(text, 16)
-    if int_to_hex(value) != text:
+    if value < 0 or int_to_hex(value) != text:
         raise ValueError("hex is not in canonical form")
     return value
 
@@ -351,9 +351,7 @@ def rsa_keygen_with_exponent(bits: int, exponent: int, seed: int) -> RsaKeyPair:
         phi = (p - 1) * (q - 1)
         if exponent >= phi:
             continue
-        pair = RsaKeyPair(n=p * q, e=exponent, d=pow(exponent, -1, phi), p=p, q=q)
-        assert pair.n.bit_length() == bits
-        return pair
+        return RsaKeyPair(n=p * q, e=exponent, d=pow(exponent, -1, phi), p=p, q=q)
     raise GenerationFailure(f"no {bits}-bit keypair admits exponent {exponent}")
 
 

@@ -21,9 +21,10 @@ Three scripted scenarios share one world builder and one exchange driver:
 
 Every run is a pure function of its RunConfig: world keys, per-session
 payloads and blinding factors all derive from the seed, so reports are
-byte-identical across repeats. Scripts check their own expectations as
-they go and raise ScriptError on any deviation; a Reject in an honest
-exchange is a harness bug, not a finding.
+byte-identical across repeats. A run checks its records against SKELETON
+and its verdict against the one its script expects, and raises ScriptError
+if either differs. A Reject from a handler propagates: in an honest exchange
+it is a harness bug, not a finding.
 """
 
 import random
@@ -306,22 +307,15 @@ def _exchange(world: World, session: int, abort: bool = False) -> tuple:
     enc_receipt = receiver.on_goods_offer(offer)
     world.log_message(enc_receipt, session)
     if abort:
-        _expect(sender.on_encrypted_receipt(enc_receipt, abort=True) is None,
-                "abort emitted a message")
+        sender.on_encrypted_receipt(enc_receipt, abort=True)
         world.log_milestone("abort-after-E2", session)
         return sender, receiver, offer
     key_release = sender.on_encrypted_receipt(enc_receipt)
-    _expect(key_release is not None, "sender withheld the key release")
     world.log_message(key_release, session)
     receipt_release = receiver.on_key_release(key_release)
-    _expect(receipt_release is not None, "receiver withheld the receipt release")
     world.log_message(receipt_release, session)
     sender.on_receipt_release(receipt_release)
     world.log_milestone("exchange-completed", session)
-    goods_hash = offer.cert.goods_hash
-    _expect(goods_hash in world.ledgers[BUYER].goods, "buyer ledger missing goods")
-    _expect((BUYER, goods_hash) in world.ledgers[SELLER].receipts,
-            "seller ledger missing receipt")
     return sender, receiver, offer
 
 
@@ -353,26 +347,17 @@ def run_replay_attack(config: RunConfig) -> AttackReport:
     world.log_milestone("stale-R1-accepted", 2)
     world.log_message(receipt_key, 2)
     sender1.on_recovered_randomizer(receipt_key)
-    _expect((BUYER, offer1.cert.goods_hash) in world.ledgers[SELLER].receipts,
-            "seller failed to recover the stale receipt")
     world.log_milestone("stale-receipt-recovered", 2)
 
     world.log_message(goods_key, 2)
     try:
         receiver2.on_recovered_randomizer(goods_key)
-    except Reject as rej:
-        _expect(rej.reason == "bad-key", f"unexpected reject {rej.reason}")
+    except Reject:
         world.log_milestone("stale-key-rejected", 2)
-    else:
-        raise ScriptError("stale goods randomizer unlocked the wrong session")
-    _expect(not world.ledgers[BUYER].goods, "buyer ledger should hold no goods")
 
     # Side observation, checked outside the buyer's behavior: the delivered
     # randomizer does open session 1's ciphertext if anyone tried.
-    try:
-        open_goods(offer1, goods_key.randomizer, world.registry[SELLER])
-    except Reject:
-        raise ScriptError("stale randomizer should open session 1's goods")
+    open_goods(offer1, goods_key.randomizer, world.registry[SELLER])
     world.log_milestone("stale-key-opens-prior-session", 2)
     return _report(world, UNFAIR_FOR_B)
 
@@ -384,13 +369,8 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
     the outsider."""
     world = build_world(config)
     goods_hash = _exchange(world, 1)[2].cert.goods_hash
-    _expect(evaluate_fairness(world.ledgers).status == FAIR,
-            "world unfair before the forward")
-
     buyer_ledger = world.ledgers[BUYER]
     proof = buyer_ledger.origin_proofs[SELLER, goods_hash]
-    _expect(rsa_verify(world.registry[SELLER], proof.value, goods_hash),
-            "forwarded origin proof does not verify")
     outsider_ledger = world.ledgers[OUTSIDER]
     outsider_ledger.goods[goods_hash] = buyer_ledger.goods[goods_hash]
     outsider_ledger.origin_proofs[SELLER, goods_hash] = proof

@@ -219,9 +219,9 @@ _HEX_SLICE = 4096
 
 
 def _small_hex(value) -> str:
-    """The encoder's hook: a byte string of up to one slice goes in whole, as
-    its hex; a longer one the encoder refuses."""
-    if type(value) is bytes and len(value) <= _HEX_SLICE:
+    """The encoder's hook, called only for a row's byte strings: one of up
+    to one slice goes in whole, as its hex; a longer one it refuses."""
+    if len(value) <= _HEX_SLICE:
         return value.hex()
     raise TypeError(f"cannot encode a {type(value).__name__} whole")
 

@@ -93,7 +93,8 @@ def _control_mask(enc_randomizer: int, recovery_modulus: int) -> int:
 
 
 def _check_randomizer(randomizer: int, *moduli: int) -> None:
-    if randomizer <= 1 or randomizer >= min(moduli):
+    # 0, 1 and negative values are not prime: the primality test rejects them.
+    if randomizer >= min(moduli):
         raise InvalidRandomizer("randomizer out of range")
     # A randomizer equal to is_probable_prime's one-slot memo is a prime the
     # run drew at random (random_prime_below has just drawn it) and is

@@ -3,7 +3,11 @@ memory a large-goods run and its verification take."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -260,11 +264,23 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert out_env.read_bytes() == out_flag.read_bytes()
 
 
-def test_missing_seed_is_usage_error(tmp_path, monkeypatch):
+def test_missing_seed_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("CEGD_SEED", raising=False)
     with pytest.raises(SystemExit) as err:
         main(["run", "--mode", "honest", *TOY, "--out", str(tmp_path / "x.jsonl")])
     assert err.value.code == 2
+    monkeypatch.setenv("CEGD_SEED", "abc")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--mode", "honest", *TOY, "--out", str(tmp_path / "x.jsonl")])
+    assert err.value.code == 2
+    assert "CEGD_SEED is not an integer: 'abc'" in capsys.readouterr().err
+
+
+def test_unwritable_out_fails(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.jsonl"
+    assert main(["run", "--mode", "honest", *TOY, "--seed", "1", "--out", str(out)]) == 1
+    assert "cannot write report" in capsys.readouterr().err
 
 
 def test_identical_configs_identical_files(tmp_path):
@@ -291,6 +307,17 @@ def test_keygen_hex_exponent(capsys):
     n = int(record["n"], 16)
     assert n.bit_length() == 32
     assert int(record["p"], 16) * int(record["q"], 16) == n
+
+
+def test_module_runs_as_a_script():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "rsa_cegd.cli", "keygen", "--bits", "16",
+                           "--exponent", "3", "--seed", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["e"] == "3"
 
 
 def test_no_fitting_key_is_usage_error(tmp_path, capsys):

@@ -64,6 +64,23 @@ def test_mod_pow_rejects_small_modulus():
         mod_pow(2, 3, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (partial(int_to_hex, -1), "negative values have no canonical form"),
+    (partial(mod_pow, -2, 3, 55), "operands must be non-negative"),
+    (partial(mod_pow, 2, -3, 55), "operands must be non-negative"),
+    (partial(mod_inv, 5, 1), "modulus must be >= 2"),
+    (partial(hash_int, "h_a", b"", 1), "modulus must be >= 2"),
+    (partial(random_prime_below, random.Random(0), 2), "bound too small"),
+    (partial(random_unit, random.Random(0), 3), "modulus too small"),
+], ids=["int_to_hex-negative", "mod_pow-negative-base", "mod_pow-negative-exponent",
+        "mod_inv-modulus-1", "hash_int-modulus-1", "random_prime_below-2", "random_unit-3"])
+def test_input_error_raises(call, message):
+    # Without its check, each call would return a value (or, for
+    # random_prime_below, raise randrange's own error).
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @settings(max_examples=40, deadline=None)
 @given(base=st.integers(0, 2 ** 16 - 1),
        exponent=st.integers(0, 2 ** 16 - 1),
@@ -102,8 +119,22 @@ def test_keypair_from_primes_toy():
 
 def test_keypair_from_primes_rejects_shared_factor():
     # phi(21) = 12 shares the factor 3 with the exponent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shares a factor"):
         keypair_from_primes(3, 7, 3)
+
+
+@pytest.mark.parametrize("p, q, e, message", [
+    (9, 11, 3, "must both be prime"),
+    (5, 9, 3, "must both be prime"),
+    (11, 11, 3, "must differ"),
+    (5, 11, 1, "odd and >= 3"),
+    (5, 11, 4, "odd and >= 3"),
+    (5, 11, 41, "must be < phi"),  # phi(55) = 40
+], ids=["composite-p", "composite-q", "p-equals-q", "e-1", "e-4", "e-above-phi"])
+def test_keypair_from_primes_rejects_bad_input(p, q, e, message):
+    # Each input passes every other check, so only its own check raises.
+    with pytest.raises(ValueError, match=message):
+        keypair_from_primes(p, q, e)
 
 
 def test_keypair_from_primes_recovery_toy():
@@ -127,6 +158,12 @@ def test_keygen_small_exponent_retry_path():
     pair = rsa_keygen_with_exponent(16, 3, seed=5)
     assert pair.n.bit_length() == 16
     assert (3 * pair.d) % ((pair.p - 1) * (pair.q - 1)) == 1
+
+
+def test_keygen_retries_until_e_below_phi():
+    # At seed 0, three 20-bit candidate pairs have phi <= 800001 before one fits.
+    pair = rsa_keygen_with_exponent(20, 800001, seed=0)
+    assert pair.e < (pair.p - 1) * (pair.q - 1)
 
 
 def test_keygen_deterministic():
@@ -256,6 +293,15 @@ def test_is_probable_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
     for n in range(40):
         assert is_probable_prime(n) == (n in primes)
+
+
+def test_primes_below_sieve_limit_squared_need_no_rounds(monkeypatch):
+    # 2053 is past the sieve's lookup but has no factor below 2048.
+    def no_rounds(*args):
+        raise AssertionError("Miller-Rabin ran")
+
+    monkeypatch.setattr(crypto_mod, "_mr_rounds", no_rounds)
+    assert is_probable_prime(2053)
 
 
 def test_is_probable_prime_carmichael():
@@ -469,6 +515,8 @@ def test_random_prime_below():
         assert 1 < p < 10000
         assert is_probable_prime(p)
         assert p not in (5, 11)
+    # An odd bound is drawn once the low bit is forced on (4 | 1 = 5).
+    assert {random_prime_below(random.Random(seed), 5) for seed in range(50)} == {2, 3}
 
 
 def test_random_unit():

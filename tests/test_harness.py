@@ -116,8 +116,8 @@ def test_run_checks_its_records(monkeypatch):
 
 
 @pytest.mark.parametrize("overrides", [dict(mode="nope"), dict(bits=8), dict(seed=-1),
-                                       dict(goods_size=1 << 24 | 1)],
-                         ids=["mode", "bits", "seed", "goods_size"])
+                                       dict(goods_size=1 << 24 | 1), dict(exponent=1)],
+                         ids=["mode", "bits", "seed", "goods_size", "exponent"])
 def test_config_validated_at_construction(overrides):
     params = dict(mode="honest", bits=32, exponent=3, seed=0)
     params.update(overrides)

@@ -329,3 +329,94 @@ def test_receiver_transitions_never_emit_recovery(toy_world):
     assert emitted, "sweep should produce at least some output"
     assert all(isinstance(m, (EncryptedReceipt, ReceiptRelease)) for m in emitted)
     assert not any(isinstance(m, RecoveryRequest) for m in emitted)
+
+
+# --- out-of-phase messages ----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def genuine():
+    """Session number -> each step's genuine message, the seller's start
+    arguments as "goods". Runs are deterministic, so session 1's are the
+    messages a fresh session 1 of another toy world is sent."""
+    world = build_world(toy_config())
+    arbiter = ArbiterService(world.arbiter, world.registry)
+    messages = {}
+    for number in (1, 2):
+        sender, receiver, goods, description = start_session(world, number)
+        offer = sender.start(goods, description)
+        enc_receipt = receiver.on_goods_offer(offer)
+        key_release = sender.on_encrypted_receipt(enc_receipt)
+        receipt_key, goods_key = arbiter.on_recovery_request(sender.recovery_request(), SELLER)
+        messages[number] = {"goods": (goods, description), "E1": offer, "E2": enc_receipt,
+                            "E3": key_release, "E4": receiver.on_key_release(key_release),
+                            "R2": receipt_key, "R3": goods_key}
+    return messages
+
+
+def _session_in(genuine, role, state):
+    """A fresh session 1 of `role`, brought to `state` by its own handlers;
+    the dangling ones reject session 2's message, the aborted one keeps E2."""
+    world = build_world(toy_config())
+    sender, receiver, _, _ = start_session(world, 1)
+    own, other = genuine[1], genuine[2]
+    if role == "receiver":
+        if state != "init":
+            receiver.on_goods_offer(own["E1"])
+        if state == "done":
+            receiver.on_key_release(own["E3"])
+        if state == "dangling":
+            with pytest.raises(Reject):
+                receiver.on_key_release(other["E3"])
+        return receiver
+    if state != "init":
+        sender.start(*own["goods"])
+    if state in ("sent-key", "done"):
+        sender.on_encrypted_receipt(own["E2"])
+    if state == "done":
+        sender.on_receipt_release(own["E4"])
+    if state == "dangling-aborted":
+        sender.on_encrypted_receipt(own["E2"], abort=True)
+    if state == "dangling-rejected":
+        with pytest.raises(Reject):
+            sender.on_encrypted_receipt(other["E2"])
+        assert sender.enc_receipt is None
+    return sender
+
+
+# (role, handler, step it takes, every state whose phase it does not accept)
+_OUT_OF_PHASE = [
+    ("sender", "start", "goods",
+     ["sent-offer", "sent-key", "done", "dangling-aborted", "dangling-rejected"]),
+    ("sender", "on_encrypted_receipt", "E2",
+     ["init", "sent-key", "done", "dangling-aborted", "dangling-rejected"]),
+    ("sender", "on_receipt_release", "E4",
+     ["init", "sent-offer", "done", "dangling-aborted", "dangling-rejected"]),
+    # It accepts a dangling session only if that session kept a verified E2.
+    ("sender", "on_recovered_randomizer", "R2",
+     ["init", "sent-offer", "done", "dangling-rejected"]),
+    ("receiver", "on_goods_offer", "E1", ["sent-receipt", "done", "dangling"]),
+    ("receiver", "on_key_release", "E3", ["init", "done", "dangling"]),
+    ("receiver", "on_recovered_randomizer", "R3", ["init", "done", "dangling"]),
+]
+
+
+def _snapshot(session):
+    fields = {name: value for name, value in vars(session).items() if name != "rng"}
+    ledger = {name: dict(items) for name, items in vars(session.ledger).items()}
+    return fields, session.rng.getstate(), ledger
+
+
+@pytest.mark.parametrize("number", [1, 2], ids=["own", "other-session"])
+@pytest.mark.parametrize("role, handler, step, state", [
+    (role, handler, step, state) for role, handler, step, states in _OUT_OF_PHASE
+    for state in states])
+def test_out_of_phase_message_changes_nothing(genuine, role, handler, step, state, number):
+    # The protocol's promise: a message that arrives out of phase returns
+    # None and leaves the phase, the session's fields and the ledger as they were.
+    session = _session_in(genuine, role, state)
+    assert state.startswith(session.phase.value)
+    before = _snapshot(session)
+    message = genuine[number][step]
+    result = getattr(session, handler)(*message if step == "goods" else (message,))
+    assert result is None
+    assert _snapshot(session) == before

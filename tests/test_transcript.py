@@ -166,6 +166,11 @@ def test_row_pieces_match_json_dumps(value):
     assert _written(value) == json.dumps(_hexed(value), separators=(",", ":"))
 
 
+def test_row_without_long_bytes_is_one_piece():
+    # Only a byte string longer than one slice splits a row.
+    assert list(row_pieces({"a": b"\x01"})) == ['{"a":"01"}']
+
+
 # --- parity: the verifier reports what the receiving handler rejects -------------
 
 def _config(mode):
@@ -383,6 +388,8 @@ _ONE_PROBLEM_EDITS = [
     ("receipt-upper", "replay", _edit_seller_receipt(lambda v: "A" + v.upper()),
      f"malformed evidence for seller: {_NON_CANONICAL}"),
     ("receipt-leading-zero", "replay", _edit_seller_receipt(lambda v: "0" + v),
+     f"malformed evidence for seller: {_NON_CANONICAL}"),
+    ("receipt-negative", "replay", _edit_seller_receipt(lambda v: "-" + v),
      f"malformed evidence for seller: {_NON_CANONICAL}"),
     ("blinded-key-0x", "replay", _edit_first_e1(lambda v: "0x" + v, "blinded_key"),
      f"malformed E1 record: {_NON_CANONICAL}"),
