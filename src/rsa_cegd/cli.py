@@ -15,7 +15,9 @@ from .harness import MODES, RunConfig, run_mode, verify_report
 from .transcript import load_report, write_report_lines
 
 
-def _parse_int(text: str) -> int:
+def integer(text: str) -> int:
+    """Decimal, or hex after a 0x prefix. argparse names the converter in
+    its error message: "invalid integer value: '0x'"."""
     return int(text, 16) if text.lower().startswith("0x") else int(text, 10)
 
 
@@ -28,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scripted scenario")
     run.add_argument("--mode", required=True, choices=MODES)
     run.add_argument("--bits", type=int, default=512)
-    run.add_argument("--exponent", type=_parse_int, default=65537)
+    run.add_argument("--exponent", type=integer, default=65537)
     run.add_argument("--seed", type=int, default=None,
                      help="falls back to the CEGD_SEED environment variable")
     run.add_argument("--goods-size", type=int, default=64)
@@ -42,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     keygen = sub.add_parser("keygen", help="print a deterministic keypair record")
     keygen.add_argument("--bits", type=int, default=512)
-    keygen.add_argument("--exponent", type=_parse_int, default=65537)
+    keygen.add_argument("--exponent", type=integer, default=65537)
     keygen.add_argument("--seed", type=int, default=None)
 
     return parser

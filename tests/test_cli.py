@@ -309,6 +309,17 @@ def test_keygen_hex_exponent(capsys):
     assert int(record["p"], 16) * int(record["q"], 16) == n
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--mode", "honest", "--bits", "32", "--seed", "1", "--out", "x.jsonl"],
+    ["keygen", "--bits", "32", "--seed", "1"],
+], ids=["run", "keygen"])
+def test_bad_exponent_message_names_no_private_function(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--exponent", "0x"])
+    assert err.value.code == 2
+    assert "argument --exponent: invalid integer value: '0x'" in capsys.readouterr().err
+
+
 def test_module_runs_as_a_script():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

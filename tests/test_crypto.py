@@ -1,10 +1,18 @@
-"""Substrate tests: modular arithmetic against naive oracles, keygen,
-hash-to-integer, and the keystream cipher."""
+"""Substrate tests: modular arithmetic against naive oracles, the libcrypto
+modexp kernel against builtins.pow, keygen, hash-to-integer, and the
+keystream cipher."""
 
+import builtins
 import hashlib
+import importlib.util
+import os
 import random
+import subprocess
+import sys
 from functools import partial
 from math import isqrt
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -551,3 +559,194 @@ def test_rsa_verify_rejects_signature_not_below_modulus():
     # the two apart.
     assert mod_pow(29 + 33, 3, 33) == 2
     assert not rsa_verify(TOY_SIGNER.public, 29 + 33, 2)
+
+
+# --- the modexp kernel ----------------------------------------------------------
+
+_THRESHOLD = 1 << 127  # the least exponent crypto.pow sends to BN_mod_exp
+_P521 = (1 << 521) - 1
+
+# (base, exponent, modulus, whether crypto.pow sends it to BN_mod_exp)
+_POW_EDGES = {
+    "exponent-2^127-1": (3, _THRESHOLD - 1, _P521, False),
+    "exponent-2^127": (3, _THRESHOLD, _P521, True),
+    "base-0": (0, _THRESHOLD, _P521, True),
+    "base-above-modulus": (_P521 + 5, _THRESHOLD + 1, _P521, True),
+    "base-far-above-modulus": ((1 << 2000) + 3, _THRESHOLD + 1, _P521, True),
+    "even-modulus": (3, _THRESHOLD + 1, 1 << 512, True),
+    "even-modulus-not-power": (5, (1 << 300) - 1, (1 << 400) - 2, True),
+    "modulus-2": (3, _THRESHOLD, 2, True),
+    "modulus-1": (3, _THRESHOLD, 1, True),
+    "base-0-modulus-1": (0, _THRESHOLD, 1, True),
+    "negative-base": (-3, _THRESHOLD, _P521, False),
+    "negative-modulus": (3, _THRESHOLD, -_P521, False),
+    "negative-exponent": (3, -_THRESHOLD, _P521, False),
+    "e-65537": (3, 65537, _P521, False),
+}
+
+
+@pytest.mark.parametrize("base, exponent, modulus, to_bn", _POW_EDGES.values(),
+                         ids=list(_POW_EDGES))
+def test_pow_matches_builtin_on_edges(monkeypatch, base, exponent, modulus, to_bn):
+    sent = []
+
+    def recording(*args):
+        sent.append(args)
+        return big_pow(*args)
+
+    crypto_mod.pow(2, _THRESHOLD, 3)  # load libcrypto, or the fallback
+    big_pow = crypto_mod._big_pow
+    monkeypatch.setattr(crypto_mod, "_big_pow", recording)
+    assert crypto_mod.pow(base, exponent, modulus) == builtins.pow(base, exponent, modulus)
+    assert sent == ([(base, exponent, modulus)] if to_bn else [])
+
+
+def test_pow_zero_modulus_raises_like_builtin():
+    for exponent in (3, _THRESHOLD):
+        with pytest.raises(ValueError):
+            crypto_mod.pow(3, exponent, 0)
+
+
+def test_pow_matches_builtin_on_random_operands():
+    rng = random.Random(18)
+    for bits in (16, 64, 127, 128, 129, 256, 512, 1024, 2048, 4096):
+        for _ in range(6 if bits <= 1024 else 1):
+            modulus = rng.getrandbits(bits) | (1 << (bits - 1))
+            base = rng.getrandbits(bits + 8)  # at or above the modulus about half the time
+            for exponent in (rng.getrandbits(bits), rng.getrandbits(rng.randint(1, bits)),
+                             65537):
+                assert crypto_mod.pow(base, exponent, modulus) \
+                    == builtins.pow(base, exponent, modulus)
+
+
+_exponents = st.one_of(st.integers(0, 2 ** 1024),
+                       st.integers(_THRESHOLD - 2 ** 8, _THRESHOLD + 2 ** 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.integers(0, 2 ** 1100), exponent=_exponents,
+       modulus=st.integers(1, 2 ** 1024))
+def test_pow_matches_builtin_property(base, exponent, modulus):
+    assert crypto_mod.pow(base, exponent, modulus) == builtins.pow(base, exponent, modulus)
+
+
+def _raise_oserror(path):
+    raise OSError("cannot open shared object")
+
+
+@pytest.mark.parametrize("missing", ["_hashlib", "library", "symbol"])
+def test_missing_libcrypto_falls_back_to_builtin(monkeypatch, missing):
+    import ctypes
+    if missing == "_hashlib":
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+    elif missing == "library":
+        monkeypatch.setattr(ctypes, "CDLL", _raise_oserror)
+    else:
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
+    assert crypto_mod._load_bn_mod_exp() is builtins.pow
+
+
+def test_golden_digests_without_libcrypto(monkeypatch):
+    from test_digests import GOLDEN, GOLDEN_LARGE_GOODS, LARGE_GOODS, transcript_digest
+
+    monkeypatch.setitem(sys.modules, "_hashlib", None)
+    monkeypatch.setattr(crypto_mod, "_big_pow", None)
+    for key in GOLDEN:
+        assert transcript_digest(*key) == GOLDEN[key]
+    for key in GOLDEN_LARGE_GOODS:
+        assert transcript_digest(*key, goods_size=LARGE_GOODS) == GOLDEN_LARGE_GOODS[key]
+    assert crypto_mod._big_pow is builtins.pow  # a large exponent came, and fell back
+
+
+class _FakeLibcrypto:
+    """The BN functions `_bn_mod_exp_of` calls, over Python ints, keeping
+    the set of live handles. The `fail_at`-th call of `fail` returns NULL
+    (BN_mod_exp returns 0)."""
+
+    def __init__(self, fail=None, fail_at=1):
+        self.fail, self.fail_at = fail, fail_at
+        self.calls = {}
+        self.values = {}
+        self.live = set()
+
+    def _failing(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+        return name == self.fail and self.calls[name] == self.fail_at
+
+    def _new(self, name, value=0):
+        if self._failing(name):
+            return None
+        handle = len(self.values) + 1  # never 0, which is NULL
+        self.values[handle] = value
+        self.live.add(handle)
+        return handle
+
+    def BN_CTX_new(self):
+        return self._new("BN_CTX_new")
+
+    def BN_new(self):
+        return self._new("BN_new")
+
+    def BN_bin2bn(self, raw, size, _):
+        return self._new("BN_bin2bn", int.from_bytes(raw[:size], "big"))
+
+    def BN_free(self, handle):
+        self.live.remove(handle)
+
+    BN_CTX_free = BN_free
+
+    def BN_mod_exp(self, result, base, exponent, modulus, ctx):
+        if self._failing("BN_mod_exp"):
+            return 0
+        values = self.values
+        values[result] = builtins.pow(values[base], values[exponent], values[modulus])
+        return 1
+
+    def BN_bn2binpad(self, number, out, width):
+        out.raw = self.values[number].to_bytes(width, "big")
+        return width
+
+
+@pytest.mark.parametrize("fail, fail_at", [
+    (None, 1), ("BN_CTX_new", 1), ("BN_bin2bn", 1), ("BN_bin2bn", 3), ("BN_new", 1),
+    ("BN_mod_exp", 1),
+])
+def test_bn_mod_exp_frees_what_it_allocates(fail, fail_at):
+    import ctypes
+    lib = _FakeLibcrypto(fail, fail_at)
+    bn_mod_exp = crypto_mod._bn_mod_exp_of(lib, ctypes.create_string_buffer)
+    args = (7, _THRESHOLD + 1, (1 << 89) - 1)
+    if fail is None:
+        assert bn_mod_exp(*args) == builtins.pow(*args)
+    else:
+        with pytest.raises(MemoryError):
+            bn_mod_exp(*args)
+    assert lib.live == set()
+
+
+_LAZY_LOAD_CHILD = """
+import contextlib, io, sys
+from rsa_cegd import cli, crypto
+with contextlib.redirect_stdout(io.StringIO()):
+    for mode in ("honest", "replay", "eoo-forward"):
+        assert cli.main(["run", "--mode", mode, "--bits", "32", "--exponent", "3",
+                         "--seed", "1", "--out", sys.argv[1]]) == 0
+        assert cli.main(["verify-transcript", sys.argv[1]]) == 0
+print("ctypes" in sys.modules)
+crypto.pow(3, 1 << 127, 5)
+print("ctypes" in sys.modules)
+"""
+
+
+def test_toy_runs_never_import_ctypes(tmp_path):
+    # A toy run's exponents are all far below 2^127, so libcrypto is never
+    # loaded and ctypes never imported; the first large exponent imports it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LAZY_LOAD_CHILD,
+                           str(tmp_path / "t.jsonl")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    has_ctypes = importlib.util.find_spec("ctypes") is not None
+    assert done.stdout.split() == ["False", str(has_ctypes)]
