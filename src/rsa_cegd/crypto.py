@@ -8,7 +8,9 @@ two distinct field sequences can collide by concatenation.
 
 All functions here are pure and deterministic given their arguments; key
 generation is deterministic given its seed, which is what lets whole
-protocol transcripts reproduce bit for bit.
+protocol transcripts reproduce bit for bit. The only module state is
+`_big_pow`, the exponentiation kernel bound on first use, and no result
+depends on it.
 
 Every modular exponentiation goes through this module's `pow`, which hands
 large exponents to libcrypto's BN_mod_exp and returns exactly what
@@ -267,16 +269,21 @@ _PSI_13 = 3317044064679887385961981
 # rounds) that keep the error below 2**-80 for a randomly drawn candidate.
 _DRAWN_ROUNDS = ((1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
                  (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27))
-# One-slot memo (see is_probable_prime): the last prime a sampler drew and
-# accepted. Only a random draw ever gets in, so even a slot written by
-# another thread holds a value the random-candidate bound covers.
-_last_drawn = 0
 
 
-def _mr_rounds(candidate: int, drawn: bool) -> int:
+class Drawn(int):
+    """An int a sampler drew from the run's RNG. `random_prime_below` and
+    `_sample_prime_bits` wrap each candidate in it before testing it, so it
+    gets HAC Table 4.4's rounds, and return one only after it passed.
+    Arithmetic on it gives plain ints, which the primality test treats as
+    a caller's."""
+    __slots__ = ()
+
+
+def _mr_rounds(candidate: int) -> int:
     if candidate < _PSI_13:
         return 13
-    if drawn:
+    if type(candidate) is Drawn:
         bits = candidate.bit_length()
         for least, rounds in _DRAWN_ROUNDS:
             if bits >= least:
@@ -284,7 +291,7 @@ def _mr_rounds(candidate: int, drawn: bool) -> int:
     return 40
 
 
-def is_probable_prime(candidate: int, _drawn: bool = False) -> bool:
+def is_probable_prime(candidate: int) -> bool:
     """Primality by small-prime lookup, a primorial gcd, then Miller-Rabin.
 
     Values below the sieve limit (2048) are looked up in the set of primes
@@ -295,26 +302,17 @@ def is_probable_prime(candidate: int, _drawn: bool = False) -> bool:
 
     - below psi_13 = 3,317,044,064,679,887,385,961,981, t = 13 for any
       caller; those bases are exact there, so the answer is the true one;
-    - a candidate `random_prime_below` or `_sample_prime_bits` drew from the
-      run's own RNG (the private `_drawn` flag) gets the rounds of HAC Table
-      4.4 for its bit length, which keep the error for a random candidate
-      below 2**-80: 12 at 256 bits, 6 at 512, 3 at 1024, 2 at 2048 (40
-      below 100 bits);
-    - every other value, such as one a caller supplies, gets all 40 bases.
-      Composites can be built to pass chosen bases (Arnault 1995), so the
-      random-candidate bound does not cover them.
-
-    The last prime a sampler accepted is kept in one slot and answered at
-    once when asked again, as `_check_randomizer` does for the prime
-    `random_prime_below` has just drawn: a value equal to the slot is one
-    the run drew at random. Answers and transcripts are the same as without
-    the slot, and nothing carries across runs but that one value.
+    - a `Drawn`, a candidate `random_prime_below` or `_sample_prime_bits`
+      drew from the run's own RNG, gets the rounds of HAC Table 4.4 for its
+      bit length, which keep the error for a random candidate below 2**-80:
+      12 at 256 bits, 6 at 512, 3 at 1024, 2 at 2048 (40 below 100 bits);
+    - every other value, such as one a caller supplies, gets all 40 bases,
+      even one equal to a prime just drawn. Composites can be built to pass
+      chosen bases (Arnault 1995), so the random-candidate bound does not
+      cover them.
     """
-    global _last_drawn
     if candidate < _SIEVE_LIMIT:
         return candidate in _SMALL_PRIME_SET
-    if candidate == _last_drawn:
-        return True
     if gcd(candidate, _PRIMORIAL) != 1:
         return False
     if candidate < _SIEVE_LIMIT * _SIEVE_LIMIT:
@@ -324,7 +322,7 @@ def is_probable_prime(candidate: int, _drawn: bool = False) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for base in _MR_BASES[:_mr_rounds(candidate, _drawn)]:
+    for base in _MR_BASES[:_mr_rounds(candidate)]:
         x = pow(base, d, candidate)
         if x == 1 or x == candidate - 1:
             continue
@@ -334,12 +332,10 @@ def is_probable_prime(candidate: int, _drawn: bool = False) -> bool:
                 break
         else:
             return False
-    if _drawn:
-        _last_drawn = candidate
     return True
 
 
-def random_prime_below(rng: random.Random, bound: int, coprime_to=()) -> int:
+def random_prime_below(rng: random.Random, bound: int, coprime_to=()) -> Drawn:
     """Sample a prime in (1, bound), coprime to every given modulus."""
     if bound <= 2:
         raise ValueError("bound too small to contain a prime")
@@ -349,7 +345,8 @@ def random_prime_below(rng: random.Random, bound: int, coprime_to=()) -> int:
             candidate |= 1
         if candidate >= bound:
             continue
-        if not is_probable_prime(candidate, _drawn=True):
+        candidate = Drawn(candidate)
+        if not is_probable_prime(candidate):
             continue
         if any(gcd(candidate, m) != 1 for m in coprime_to):
             continue
@@ -405,12 +402,12 @@ def keypair_from_primes(p: int, q: int, e: int) -> RsaKeyPair:
     return RsaKeyPair(n=p * q, e=e, d=pow(e, -1, phi), p=p, q=q)
 
 
-def _sample_prime_bits(rng: random.Random, nbits: int) -> int:
+def _sample_prime_bits(rng: random.Random, nbits: int) -> Drawn:
     # Top two bits forced so a product of two such primes has exactly the
     # requested modulus width.
     for _ in range(_SAMPLE_ATTEMPTS):
-        candidate = rng.getrandbits(nbits) | (1 << (nbits - 1)) | (1 << (nbits - 2)) | 1
-        if is_probable_prime(candidate, _drawn=True):
+        candidate = Drawn(rng.getrandbits(nbits) | (1 << (nbits - 1)) | (1 << (nbits - 2)) | 1)
+        if is_probable_prime(candidate):
             return candidate
     raise GenerationFailure(f"no {nbits}-bit prime found")
 

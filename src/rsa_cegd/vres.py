@@ -37,6 +37,7 @@ from math import gcd
 
 from .credentials import RecoverableCert
 from .crypto import (
+    Drawn,
     PublicKey,
     RsaKeyPair,
     encode_fields,
@@ -96,11 +97,10 @@ def _check_randomizer(randomizer: int, *moduli: int) -> None:
     # 0, 1 and negative values are not prime: the primality test rejects them.
     if randomizer >= min(moduli):
         raise InvalidRandomizer("randomizer out of range")
-    # A randomizer equal to is_probable_prime's one-slot memo is a prime the
-    # run drew at random (random_prime_below has just drawn it) and is
-    # answered at once; any other value is tested as a caller's, with all 40
-    # bases.
-    if not is_probable_prime(randomizer):
+    # A Drawn already passed random_prime_below's primality test; any other
+    # value, even one equal to a prime just drawn, is tested as a caller's,
+    # with all 40 bases.
+    if type(randomizer) is not Drawn and not is_probable_prime(randomizer):
         raise InvalidRandomizer("randomizer must be prime")
     for modulus in moduli:
         if gcd(randomizer, modulus) != 1:

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import rsa_cegd.crypto as crypto_mod
 from rsa_cegd.crypto import (
     HASH_BOUND,
+    Drawn,
     GenerationFailure,
     NotInvertible,
     encode_fields,
@@ -38,7 +39,7 @@ from rsa_cegd.crypto import (
     sym_decrypt,
     sym_encrypt,
 )
-from rsa_cegd.vres import InvalidRandomizer, generate_vres, wrap_key
+from rsa_cegd.vres import InvalidRandomizer, _check_randomizer, generate_vres, wrap_key
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -320,7 +321,7 @@ def test_is_probable_prime_carmichael():
 
 # Reference: the original primality test (trial division by primes < 1000,
 # then 40 Miller-Rabin rounds), kept verbatim as the oracle for the
-# sieve/gcd/memo version.
+# sieve/gcd version.
 _REF_SMALL_PRIMES = [p for p in range(2, 1000)
                      if all(p % q for q in range(2, isqrt(p) + 1))]
 _REF_MR_BASES = _REF_SMALL_PRIMES[:40]
@@ -393,7 +394,7 @@ def test_primality_matches_reference_on_random_values():
 
 def assert_same_primality_drawn(values):
     for n in values:
-        assert is_probable_prime(n, _drawn=True) == reference_is_probable_prime(n), n
+        assert is_probable_prime(Drawn(n)) == reference_is_probable_prime(n), n
 
 
 def test_drawn_primality_matches_reference_on_random_odd_values():
@@ -412,10 +413,10 @@ def test_drawn_primality_matches_reference_on_golden_runs(monkeypatch):
 
     drawn = []
 
-    def recording(candidate, _drawn=False):
-        if _drawn:
+    def recording(candidate):
+        if type(candidate) is Drawn:
             drawn.append(candidate)
-        return is_probable_prime(candidate, _drawn)
+        return is_probable_prime(candidate)
 
     monkeypatch.setattr(crypto_mod, "is_probable_prime", recording)
     for key in GOLDEN:
@@ -443,7 +444,7 @@ class _FixedRng:
 
 def _bases_used(monkeypatch, test, value):
     """The Miller-Rabin bases `test` tries on `value`, which must be prime,
-    counted by a `pow` put into crypto's globals; the memo is cleared first."""
+    counted by a `pow` put into crypto's globals."""
     bases = []
 
     def counting_pow(base, exponent, modulus):
@@ -451,7 +452,6 @@ def _bases_used(monkeypatch, test, value):
             bases.append(base)
         return pow(base, exponent, modulus)
 
-    monkeypatch.setattr(crypto_mod, "_last_drawn", 0)
     monkeypatch.setattr(crypto_mod, "pow", counting_pow, raising=False)
     assert test(value) in (True, value)
     monkeypatch.delattr(crypto_mod, "pow")
@@ -482,18 +482,16 @@ def test_drawn_candidates_get_hac_rounds(monkeypatch, bits, rounds):
 def test_supplied_values_get_40_rounds(monkeypatch, bits):
     prime = _TOP_PRIMES[bits]
     assert _bases_used(monkeypatch, is_probable_prime, prime) == 40
-    # Once a sampler has drawn the value, the memo answers it without a round.
-    random_prime_below(_FixedRng(prime), prime + 2)
-    assert crypto_mod._last_drawn == prime
-    monkeypatch.setattr(crypto_mod, "pow", None, raising=False)  # any round would raise
-    assert is_probable_prime(prime)
 
 
 def test_exact_range_gets_13_rounds(monkeypatch):
     below = (1 << 61) - 1
     above = (1 << 89) - 1  # past psi_13 but under Table 4.4's 100 bits
     assert below < crypto_mod._PSI_13 < above
-    drawn = partial(is_probable_prime, _drawn=True)
+
+    def drawn(value):
+        return is_probable_prime(Drawn(value))
+
     assert _bases_used(monkeypatch, is_probable_prime, below) == 13
     assert _bases_used(monkeypatch, drawn, below) == 13
     assert _bases_used(monkeypatch, is_probable_prime, above) == 40
@@ -508,12 +506,35 @@ def test_memo_does_not_pass_composite_randomizer():
     composite = random_prime_below(rng, root) * random_prime_below(rng, root)
     assert 1 < composite < min(owner.n, recovery.n)
     randomizer = random_prime_below(rng, owner.n, coprime_to=(owner.n,))
-    assert crypto_mod._last_drawn == randomizer
     with pytest.raises(InvalidRandomizer, match="randomizer must be prime"):
         wrap_key(12345, composite, owner)
     with pytest.raises(InvalidRandomizer, match="randomizer must be prime"):
         generate_vres(67890, owner, recovery, composite)
     assert wrap_key(12345, randomizer, owner).blinded_key == (randomizer * 12345) % owner.n
+
+
+def test_provenance_is_the_type_not_the_value(monkeypatch):
+    # A prime a sampler returns skips only the randomizer check's primality
+    # test, not its range and gcd checks; the same value as a plain int, as a caller or a transcript hands
+    # it over, gets all 40 bases before and after the draw.
+    prime = _TOP_PRIMES[512]
+    moduli = (prime + 2, prime + 4)
+
+    def check(value):
+        _check_randomizer(value, *moduli)
+        return True
+
+    assert _bases_used(monkeypatch, is_probable_prime, prime) == 40
+    drawn = random_prime_below(_FixedRng(prime), prime + 2)
+    assert drawn == prime
+    assert _bases_used(monkeypatch, is_probable_prime, int(drawn)) == 40
+    assert _bases_used(monkeypatch, check, int(drawn)) == 40
+    assert _bases_used(monkeypatch, check, drawn) == 0
+    assert _bases_used(monkeypatch, is_probable_prime, prime) == 40
+    with pytest.raises(InvalidRandomizer, match="out of range"):
+        _check_randomizer(drawn, prime)
+    with pytest.raises(InvalidRandomizer, match="shares a factor"):
+        _check_randomizer(drawn, 3 * prime, prime + 2)
 
 
 def test_random_prime_below():
