@@ -43,6 +43,9 @@ from .crypto import (
     rsa_verify,
 )
 from .protocol import (
+    ARBITER,
+    BUYER,
+    SELLER,
     ArbiterService,
     EvidenceLedger,
     ReceiverSession,
@@ -55,10 +58,7 @@ from .protocol import (
     open_receipt,
 )
 
-SELLER = "seller"
-BUYER = "buyer"
 OUTSIDER = "outsider"
-ARBITER = "arbiter"
 CERT_AUTHORITY = "cert-authority"
 
 FAIR = "FAIR"
@@ -66,12 +66,6 @@ UNFAIR_FOR_B = "UNFAIR_FOR_B"
 UNFAIR_FOR_A = "UNFAIR_FOR_A"
 
 MODES = ("honest", "replay", "eoo-forward")
-
-# Step -> (sender, recipient). Every run sends each step along its route, and
-# the verifier accepts no other.
-ROUTES = {"E1": (SELLER, BUYER), "E2": (BUYER, SELLER), "E3": (SELLER, BUYER),
-          "E4": (BUYER, SELLER), "R1": (SELLER, ARBITER), "R2": (ARBITER, SELLER),
-          "R3": (ARBITER, BUYER)}
 
 # Mode -> the parties its world registers, each with a key and a ledger.
 PARTIES = {"honest": (SELLER, BUYER), "replay": (SELLER, BUYER),
@@ -170,7 +164,7 @@ class World:
     records: list = field(default_factory=list)
 
     def log_message(self, body, session: int) -> None:
-        self.records.append(transcript.message_record(body, *ROUTES[body.STEP], session))
+        self.records.append(transcript.message_record(body, session))
 
     def log_milestone(self, label: str, session: int) -> None:
         self.records.append(transcript.milestone_record(label, session))
@@ -206,8 +200,9 @@ class AttackReport:
         return [row["label"] for row in self.records if row["type"] == "milestone"]
 
     def rows(self) -> list[dict]:
-        return transcript.report_rows(self.header, self.records, self.evidence,
-                                      self.verdict.to_record())
+        """The rows of the report file, in SKELETON's order."""
+        return [self.header, *self.records,
+                *(row for _, row in sorted(self.evidence.items())), self.verdict.to_record()]
 
     def to_lines(self) -> list[str]:
         return transcript.report_lines(self.rows())
@@ -370,10 +365,8 @@ def run_eoo_forward(config: RunConfig) -> AttackReport:
     world = build_world(config)
     goods_hash = _exchange(world, 1)[2].cert.goods_hash
     buyer_ledger = world.ledgers[BUYER]
-    proof = buyer_ledger.origin_proofs[SELLER, goods_hash]
-    outsider_ledger = world.ledgers[OUTSIDER]
-    outsider_ledger.goods[goods_hash] = buyer_ledger.goods[goods_hash]
-    outsider_ledger.origin_proofs[SELLER, goods_hash] = proof
+    world.ledgers[OUTSIDER].credit_goods(buyer_ledger.goods[goods_hash],
+                                         buyer_ledger.origin_proofs[SELLER, goods_hash])
     world.log_milestone("eoo-forwarded-out-of-band", 1)
     return _report(world, UNFAIR_FOR_A)
 
@@ -397,12 +390,13 @@ def run_mode(config: RunConfig) -> AttackReport:
 # and R1, decode each evidence row into a ledger and re-check its items, and
 # recompute the verdict. The step checks run on every message, in place or
 # not. Message problems read "session <sid> <step>: <code>" with the handlers'
-# codes plus misrouted (a route other than the step's in ROUTES, or an R3 not
+# codes plus misrouted (a route other than its body type's ROUTE, or an R3 not
 # to R1's counterparty), goods-size-mismatch (E1), residue-mismatch (R2),
-# forward-mismatch (R3) and unknown-step. A message that depends on a missing
-# or failed E1, E2 or R1 is not checked. R2 and R3 are checked as the
-# arbiter's output, not with the parties' own checks: the buyer's rejection
-# of a stale R3 is the recorded attack.
+# forward-mismatch (R3) and unknown-step. Each check takes its parties from
+# that ROUTE. A message that depends on a missing or failed E1, E2 or R1 is
+# not checked. R2 and R3 are checked as the arbiter's output, not with the
+# parties' own checks: the buyer's rejection of a stale R3 is the recorded
+# attack.
 
 # What a record of the wrong shape raises while it is checked: a missing key,
 # a value of the wrong JSON type, or text that is not hex.
@@ -533,7 +527,8 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
         problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):
         problems.append("header: parties do not match the registry")
-    # The ids build_world writes; R1..R3 are routed by ROUTES, not the header.
+    # The ids build_world writes; R1..R3 are routed by their body types' ROUTE,
+    # not by the header.
     for name, principal_id in (("ca", CERT_AUTHORITY), ("arbiter", ARBITER)):
         if header[name].get("id") != principal_id:
             problems.append(f"header: {name} id is not {principal_id!r}")
@@ -564,7 +559,8 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
     if step not in transcript.BODIES:
         raise Reject("unknown-step")
     body = transcript.BODIES[step][1](row["fields"])
-    if (row.get("sender"), row.get("recipient")) != ROUTES[step]:
+    sender, recipient = body.ROUTE
+    if (row.get("sender"), row.get("recipient")) != body.ROUTE:
         raise Reject("misrouted")
     derived = None
 
@@ -574,21 +570,21 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
         return logged[sid, tag]
 
     if step == "E1":
-        derived = check_offer(body, ca_pub, registry[SELLER])
+        derived = check_offer(body, ca_pub, registry[sender])
         if len(body.ciphertext) != goods_size:
             raise Reject("goods-size-mismatch")
     elif step == "E2":
         offer, sender_enc_randomizer = prior("E1")
-        check_encrypted_receipt(body, offer.cert.goods_hash, registry[BUYER],
-                                arbiter_pub, sender_enc_randomizer, SELLER)
+        check_encrypted_receipt(body, offer.cert.goods_hash, registry[sender],
+                                arbiter_pub, sender_enc_randomizer, recipient)
     elif step == "E3":
-        open_goods(prior("E1")[0], body.randomizer, registry[SELLER])
+        open_goods(prior("E1")[0], body.randomizer, registry[sender])
     elif step == "E4":
         offer = prior("E1")[0]
-        open_receipt(prior("E2")[0], body.randomizer, registry[BUYER],
-                     offer.cert.goods_hash, BUYER)
+        open_receipt(prior("E2")[0], body.randomizer, registry[sender],
+                     offer.cert.goods_hash, sender)
     elif step == "R1":
-        check_recovery_request(body, SELLER, arbiter_pub, registry)
+        check_recovery_request(body, sender, arbiter_pub, registry)
     else:
         request = prior("R1")[0]
         if step == "R2":
@@ -596,8 +592,8 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
                               request.enc_randomizer):
                 raise Reject("residue-mismatch")
         else:
-            # The one route the table cannot hold: R1 names whom R3 goes to.
-            if request.counterparty != BUYER:
+            # The one route a body type cannot hold: R1 names whom R3 goes to.
+            if request.counterparty != recipient:
                 raise Reject("misrouted")
             if body.randomizer != request.sender_randomizer:
                 raise Reject("forward-mismatch")

@@ -1,14 +1,9 @@
 """Party state machines and wire messages for the certified-delivery flow.
 
-Wire flow, with the step tags used in transcripts:
-
-    exchange:  E1 goods offer        seller -> buyer
-               E2 encrypted receipt  buyer  -> seller
-               E3 key release        seller -> buyer
-               E4 receipt release    buyer  -> seller
-    recovery:  R1 recovery request   seller -> arbiter
-               R2 recovered receipt randomizer   arbiter -> seller
-               R3 recovered goods randomizer     arbiter -> buyer
+The seven message body types below are the step table: each carries its
+transcript tag (STEP: E1..E4 for the exchange, R1..R3 for recovery) and its
+route (ROUTE: sender, recipient), which is written nowhere else. A route is
+unsigned metadata: it travels beside a body's fields, not among them.
 
 Protocol asymmetries are preserved exactly because the attack scripts in
 the harness depend on them:
@@ -96,12 +91,18 @@ class ReceiverPhase(Enum):
     DANGLING = "dangling"
 
 
-# Message bodies. STEP is the transcript tag; sender, recipient and session
-# id travel outside the body, attached by the harness.
+SELLER = "seller"
+BUYER = "buyer"
+ARBITER = "arbiter"
+
+
+# Message bodies. STEP is the transcript tag and ROUTE its (sender,
+# recipient); both are class attributes, not fields, so no codec or signature
+# covers them. The session id is attached by the harness.
 
 @dataclass(frozen=True)
 class GoodsOffer:
-    STEP = "E1"
+    STEP, ROUTE = "E1", (SELLER, BUYER)
     ciphertext: bytes
     cert: GoodsCertificate
     blinded_key: int
@@ -110,7 +111,7 @@ class GoodsOffer:
 
 @dataclass(frozen=True)
 class EncryptedReceipt:
-    STEP = "E2"
+    STEP, ROUTE = "E2", (BUYER, SELLER)
     vres: VresTriple
     auth_token: int
     recovery_cert: RecoverableCert
@@ -118,19 +119,19 @@ class EncryptedReceipt:
 
 @dataclass(frozen=True)
 class KeyRelease:
-    STEP = "E3"
+    STEP, ROUTE = "E3", (SELLER, BUYER)
     randomizer: int
 
 
 @dataclass(frozen=True)
 class ReceiptRelease:
-    STEP = "E4"
+    STEP, ROUTE = "E4", (BUYER, SELLER)
     randomizer: int
 
 
 @dataclass(frozen=True)
 class RecoveryRequest:
-    STEP = "R1"
+    STEP, ROUTE = "R1", (SELLER, ARBITER)
     recovery_cert: RecoverableCert
     enc_randomizer: int
     auth_token: int
@@ -142,13 +143,13 @@ class RecoveryRequest:
 
 @dataclass(frozen=True)
 class RecoveredReceiptKey:
-    STEP = "R2"
+    STEP, ROUTE = "R2", (ARBITER, SELLER)
     randomizer: int
 
 
 @dataclass(frozen=True)
 class RecoveredGoodsKey:
-    STEP = "R3"
+    STEP, ROUTE = "R3", (ARBITER, BUYER)
     randomizer: int
 
 
@@ -237,17 +238,25 @@ def check_recovery_request(msg: RecoveryRequest, requester: str,
 
 
 class EvidenceLedger:
-    """Per-party evidence holdings, plain storage: only items that passed
-    their step's check (open_goods, open_receipt; the origin proof at
-    check_offer) enter a ledger.
+    """Per-party evidence holdings. A run credits items only through the two
+    methods below, and only once they passed their step's check (open_goods,
+    open_receipt; the origin proof at check_offer).
 
-    Goods are keyed by their hash; receipts and origin proofs by
-    (counterparty, goods hash)."""
+    Goods are keyed by their hash; receipts and origin proofs by the
+    signature's (signer, goods hash)."""
 
     def __init__(self):
         self.goods: dict[int, bytes] = {}
         self.receipts: dict[tuple[str, int], Signature] = {}
         self.origin_proofs: dict[tuple[str, int], Signature] = {}
+
+    def credit_goods(self, payload: bytes, proof: Signature) -> None:
+        """Goods together with the origin proof that names their hash."""
+        self.goods[proof.goods_hash] = payload
+        self.origin_proofs[proof.signer, proof.goods_hash] = proof
+
+    def credit_receipt(self, receipt: Signature) -> None:
+        self.receipts[receipt.signer, receipt.goods_hash] = receipt
 
 
 def _dangle_on_reject(session, check, *args):
@@ -318,7 +327,7 @@ class SenderSession:
     def _accept_receipt_randomizer(self, randomizer: int) -> None:
         receipt = _dangle_on_reject(self, open_receipt, self.enc_receipt, randomizer,
                                     self.counter_pub, self.goods_hash, self.counterparty)
-        self.ledger.receipts[receipt.signer, receipt.goods_hash] = receipt
+        self.ledger.credit_receipt(receipt)
         self.phase = SenderPhase.DONE
 
     def on_receipt_release(self, msg: ReceiptRelease) -> None:
@@ -391,10 +400,8 @@ class ReceiverSession:
         proof enter the ledger."""
         payload = _dangle_on_reject(self, open_goods, self.offer, randomizer,
                                     self.counter_pub)
-        goods_hash = self.offer.cert.goods_hash
-        self.ledger.goods[goods_hash] = payload
-        self.ledger.origin_proofs[self.counterparty, goods_hash] = Signature(
-            self.offer.origin_proof, goods_hash, self.counterparty)
+        self.ledger.credit_goods(payload, Signature(
+            self.offer.origin_proof, self.offer.cert.goods_hash, self.counterparty))
         self.phase = ReceiverPhase.DONE
 
     def on_key_release(self, msg: KeyRelease) -> ReceiptRelease | None:

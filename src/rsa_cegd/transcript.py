@@ -155,7 +155,9 @@ BODIES = {cls.STEP: _codec(cls, layout) for cls, layout in [
 ]}
 
 
-def message_record(body, sender: str, recipient: str, session: int) -> dict:
+def message_record(body, session: int) -> dict:
+    """The record of `body` sent in `session`, along its step's ROUTE."""
+    sender, recipient = body.ROUTE
     return {
         "type": "message",
         "step": body.STEP,
@@ -203,14 +205,6 @@ def ledger_from_record(row: dict) -> EvidenceLedger:
     if any(len(getattr(ledger, key)) != len(row[key]) for key in keys):
         raise ValueError("evidence lists an item twice")
     return ledger
-
-
-def report_rows(header: dict, records: list, evidence: dict,
-                verdict_record: dict) -> list[dict]:
-    """The rows of a report file, in file order. `evidence` maps each party
-    to its evidence row; rows go out by party."""
-    return [header, *records, *(row for _, row in sorted(evidence.items())),
-            verdict_record]
 
 
 # Bytes hexed per piece: 8192 hex digits, the text layer's chunk size, up to

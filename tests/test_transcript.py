@@ -15,9 +15,13 @@ from rsa_cegd.credentials import _cert_digest, _recovery_cert_digest
 from rsa_cegd.crypto import PublicKey, hex_to_int, int_to_hex, mod_pow, rsa_sign
 from rsa_cegd.harness import (
     BUYER,
+    FAIR,
+    OUTSIDER,
     SELLER,
+    UNFAIR_FOR_B,
     RunConfig,
     build_world,
+    evaluate_fairness,
     make_sessions,
     run_honest,
     run_mode,
@@ -984,7 +988,7 @@ def test_wrong_randomizer_is_rejected_before_decryption(monkeypatch):
 
 
 def test_unknown_requester_is_pinned():
-    # The verifier takes every R1 as the seller's (ROUTES), so only direct
+    # The verifier takes every R1 as the seller's (its ROUTE), so only direct
     # callers and the arbiter can name a requester the registry lacks. The
     # buyer's token names the requester, so it is signed anew for it.
     world = build_world(_config("replay"))
@@ -995,3 +999,30 @@ def test_unknown_requester_is_pinned():
         check_recovery_request(dataclasses.replace(request, auth_token=token), "nobody",
                                world.arbiter.keys.public, world.registry)
     assert err.value.reason == "unknown-requester"
+
+
+# --- evidence rows forged to match a forged verdict ------------------------------
+
+# (mode, party, the evidence lists emptied, the verdict the edited rows give)
+_FORGED_EVIDENCE = [
+    ("replay", SELLER, ("receipts",), FAIR),
+    ("eoo-forward", OUTSIDER, ("goods", "origin_proofs"), FAIR),
+    ("honest", BUYER, ("goods", "origin_proofs"), UNFAIR_FOR_B),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the verifier recomputes the verdict from the "
+                          "evidence rows, not from the messages that passed their checks")
+@pytest.mark.parametrize("mode, party, emptied, verdict", _FORGED_EVIDENCE,
+                         ids=[c[0] for c in _FORGED_EVIDENCE])
+def test_forged_evidence_is_a_problem(mode, party, emptied, verdict):
+    rows = _rows(mode)
+    evidence = [row for row in rows if row["type"] == "evidence"]
+    for key in emptied:
+        next(row for row in evidence if row["party"] == party)[key] = []
+    forged = evaluate_fairness({row["party"]: ledger_from_record(row) for row in evidence})
+    if forged.status != verdict:  # not an AssertionError: the edit itself went wrong
+        pytest.fail(f"the edited evidence gives {forged.status}, not {verdict}")
+    rows[-1] = forged.to_record()
+    assert verify_report(rows) != []
