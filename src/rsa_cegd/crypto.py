@@ -155,8 +155,8 @@ def encode_fields(*parts) -> bytes:
             raw = int_to_hex(part).encode("ascii")
         elif isinstance(part, str):
             raw = part.encode("utf-8")
-        elif isinstance(part, (bytes, bytearray)):
-            raw = bytes(part)
+        elif isinstance(part, bytes):
+            raw = part
         else:
             raise TypeError(f"cannot encode field of type {type(part).__name__}")
         out += len(raw).to_bytes(8, "big")

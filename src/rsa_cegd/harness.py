@@ -72,31 +72,38 @@ PARTIES = {"honest": (SELLER, BUYER), "replay": (SELLER, BUYER),
            "eoo-forward": (SELLER, BUYER, OUTSIDER)}
 
 
-def _shape(row: dict) -> tuple:
-    """A record's place in a run: ("message", session, step), ("milestone",
-    session, label), ("evidence", party) or (type,)."""
+def _shape(row: dict) -> str:
+    """A record's place in a run, in words: "message E1 of session 1",
+    "milestone <label> of session 1", "evidence for buyer", "the verdict" or
+    "a record of type 'note'". Compared only once a message's or milestone's
+    session is known to be an int: a session "1" would read as 1."""
     kind = row.get("type")
     if kind in ("message", "milestone"):  # a tuple: kind may be unhashable
-        return kind, row.get("session"), row.get("step" if kind == "message" else "label")
-    return (kind, row.get("party")) if kind == "evidence" else (kind,)
+        return (f"{kind} {row.get('step' if kind == 'message' else 'label')} "
+                f"of session {row.get('session')}")
+    if kind == "evidence":
+        return f"evidence for {row.get('party')}"
+    return "the verdict" if kind == "verdict" else f"a record of type {kind!r}"
 
 
-# Mode -> the shape of each record its run writes after the header, in order:
+# Mode -> the place of each record its run writes after the header, in order:
 # messages and milestones, one evidence row per party (sorted), the verdict.
 # Every run is checked against it, and so is every transcript.
-_EXCHANGE = (*(("message", 1, step) for step in ("E1", "E2", "E3", "E4")),
-             ("milestone", 1, "exchange-completed"))
-SKELETON = {mode: (*records, *(("evidence", party) for party in sorted(PARTIES[mode])),
-                   ("verdict",)) for mode, records in {
+_EXCHANGE = ("message E1 of session 1", "message E2 of session 1", "message E3 of session 1",
+             "message E4 of session 1", "milestone exchange-completed of session 1")
+SKELETON = {mode: (*records, *(f"evidence for {party}" for party in sorted(PARTIES[mode])),
+                   "the verdict") for mode, records in {
     "honest": _EXCHANGE,
-    "replay": (("message", 1, "E1"), ("message", 1, "E2"), ("milestone", 1, "abort-after-E2"),
-               ("milestone", 1, "recovery-material-stored"), ("message", 2, "E1"),
-               ("message", 2, "E2"), ("milestone", 2, "abort-after-E2"),
-               ("message", 2, "R1"), ("milestone", 2, "stale-R1-accepted"),
-               ("message", 2, "R2"), ("milestone", 2, "stale-receipt-recovered"),
-               ("message", 2, "R3"), ("milestone", 2, "stale-key-rejected"),
-               ("milestone", 2, "stale-key-opens-prior-session")),
-    "eoo-forward": (*_EXCHANGE, ("milestone", 1, "eoo-forwarded-out-of-band")),
+    "replay": ("message E1 of session 1", "message E2 of session 1",
+               "milestone abort-after-E2 of session 1",
+               "milestone recovery-material-stored of session 1",
+               "message E1 of session 2", "message E2 of session 2",
+               "milestone abort-after-E2 of session 2", "message R1 of session 2",
+               "milestone stale-R1-accepted of session 2", "message R2 of session 2",
+               "milestone stale-receipt-recovered of session 2", "message R3 of session 2",
+               "milestone stale-key-rejected of session 2",
+               "milestone stale-key-opens-prior-session of session 2"),
+    "eoo-forward": (*_EXCHANGE, "milestone eoo-forwarded-out-of-band of session 1"),
 }.items()}
 
 # At 16 MiB of goods a run peaks 47-64 MiB and its verification about 111
@@ -143,12 +150,10 @@ class FairnessVerdict:
 
     def to_record(self) -> dict:
         record = {"type": "verdict", "verdict": self.status}
-        if self.status == UNFAIR_FOR_B:
+        holder = {UNFAIR_FOR_B: "receipt_holder", UNFAIR_FOR_A: "eoo_holder"}.get(self.status)
+        if holder is not None:
             record["goods_hash"] = int_to_hex(self.goods_hash)
-            record["receipt_holder"] = self.receipt_holder
-        elif self.status == UNFAIR_FOR_A:
-            record["goods_hash"] = int_to_hex(self.goods_hash)
-            record["eoo_holder"] = self.eoo_holder
+            record[holder] = getattr(self, holder)
         return record
 
 
@@ -384,19 +389,19 @@ def run_mode(config: RunConfig) -> AttackReport:
 
 # ---------------------------------------------------------------------------
 # Transcript verification: check the header's fields against each other and
-# each record's shape against the mode's SKELETON as the rows stream (the
+# each record's place against the mode's SKELETON as the rows stream (the
 # first divergence is one "record N: expected ..., found ..." problem), run
-# each message's step check from protocol against the session's logged E1, E2
-# and R1, decode each evidence row into a ledger and re-check its items, and
-# recompute the verdict. The step checks run on every message, in place or
-# not. Message problems read "session <sid> <step>: <code>" with the handlers'
-# codes plus misrouted (a route other than its body type's ROUTE, or an R3 not
-# to R1's counterparty), goods-size-mismatch (E1), residue-mismatch (R2),
-# forward-mismatch (R3) and unknown-step. Each check takes its parties from
-# that ROUTE. A message that depends on a missing or failed E1, E2 or R1 is
-# not checked. R2 and R3 are checked as the arbiter's output, not with the
-# parties' own checks: the buyer's rejection of a stale R3 is the recorded
-# attack.
+# each message's step check from protocol against the messages of its session
+# that _READS names, decode each evidence row into a ledger and re-check its
+# items, and recompute the verdict. The step checks run on every message, in
+# place or not. Message problems read "session <sid> <step>: <code>" with the
+# handlers' codes plus misrouted (a route other than its body type's ROUTE,
+# or an R3 not to R1's counterparty), goods-size-mismatch (E1),
+# residue-mismatch (R2), forward-mismatch (R3) and unknown-step. Each check
+# takes its parties from that ROUTE. A message is not checked unless every
+# message its _READS names is logged, that is, present and passed. R2 and R3
+# are checked as the arbiter's output, not with the parties' own checks: the
+# buyer's rejection of a stale R3 is the recorded attack.
 
 # What a record of the wrong shape raises while it is checked: a missing key,
 # a value of the wrong JSON type, or text that is not hex.
@@ -413,9 +418,9 @@ _RECORD_KEYS = {
     "evidence": {"type", "party", "goods", "receipts", "origin_proofs"},
 }
 
-
-class _Unchecked(Exception):
-    """The message depends on an earlier one that is missing or failed."""
+# Step -> the steps of its session whose logged bodies its check reads.
+_READS = {"E1": (), "E2": ("E1",), "E3": ("E1",), "E4": ("E1", "E2"),
+          "R1": (), "R2": ("R1",), "R3": ("R1",)}
 
 
 def verify_report(rows: Iterable[dict]) -> list[str]:
@@ -439,14 +444,14 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
     keys = [*registry.items(), ("ca", ca_pub), ("arbiter", arbiter_pub)]
     if not _check_header(header, exponent, keys, problems):
         return problems
-    skeleton = (*SKELETON[header["mode"]], None)  # None: the end of the file
+    skeleton = (*SKELETON[header["mode"]], "the end")
 
     # (session, step) -> (decoded body, derived) of each message that passed
     # its check: derived is E1's sender encrypted randomizer, else None.
     logged: dict[tuple, tuple] = {}
     ledgers: dict[str, EvidenceLedger] = {}
-    # Whether every record so far has its skeleton shape; once one has not,
-    # no shape is compared, and no evidence or verdict checked.
+    # Whether every record so far is in its skeleton place; once one is not,
+    # no place is compared, and no evidence or verdict checked.
     in_place = True
 
     # Counted by hand: enumerate would hold each row until the next is read.
@@ -469,8 +474,8 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
                 in_place = False
                 continue
         if in_place and _shape(row) != skeleton[number - 2]:
-            problems.append(f"record {number}: expected {_describe(skeleton[number - 2])}, "
-                            f"found {_describe(_shape(row))}")
+            problems.append(f"record {number}: expected {skeleton[number - 2]}, "
+                            f"found {_shape(row)}")
             in_place = False
         if kind == "message":
             try:
@@ -478,8 +483,6 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
                                header.get("goods_size"))
             except Reject as rej:
                 problems.append(f"session {row['session']} {row['step']}: {rej.reason}")
-            except _Unchecked:
-                pass
             except _MALFORMED as exc:
                 problems.append(f"malformed {row.get('step')} record: {exc}")
         elif in_place and kind == "evidence":
@@ -494,21 +497,9 @@ def verify_report(rows: Iterable[dict]) -> list[str]:
             recomputed = evaluate_fairness(ledgers).to_record()
             if recomputed != row:
                 problems.append(f"verdict mismatch: recorded {row}, recomputed {recomputed}")
-    if in_place and skeleton[number - 1] is not None:
-        problems.append(f"record {number + 1}: expected "
-                        f"{_describe(skeleton[number - 1])}, found the end")
+    if in_place and skeleton[number - 1] != "the end":
+        problems.append(f"record {number + 1}: expected {skeleton[number - 1]}, found the end")
     return problems
-
-
-def _describe(shape: tuple | None) -> str:
-    """A shape (see _shape) in words; None is the end of the file."""
-    if shape is None:
-        return "the end"
-    if shape[0] in ("message", "milestone"):
-        return f"{shape[0]} {shape[2]} of session {shape[1]}"
-    if shape[0] == "evidence":
-        return f"evidence for {shape[1]}"
-    return "the verdict" if shape[0] == "verdict" else f"a record of type {shape[0]!r}"
 
 
 def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) -> bool:
@@ -562,31 +553,27 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
     sender, recipient = body.ROUTE
     if (row.get("sender"), row.get("recipient")) != body.ROUTE:
         raise Reject("misrouted")
+    if any((sid, read) not in logged for read in _READS[step]):
+        return  # a missing one is the skeleton's problem, a failed one its own
     derived = None
-
-    def prior(tag: str) -> tuple:  # a missing one is the skeleton's problem
-        if (sid, tag) not in logged:
-            raise _Unchecked
-        return logged[sid, tag]
-
     if step == "E1":
         derived = check_offer(body, ca_pub, registry[sender])
         if len(body.ciphertext) != goods_size:
             raise Reject("goods-size-mismatch")
     elif step == "E2":
-        offer, sender_enc_randomizer = prior("E1")
+        offer, sender_enc_randomizer = logged[sid, "E1"]
         check_encrypted_receipt(body, offer.cert.goods_hash, registry[sender],
                                 arbiter_pub, sender_enc_randomizer, recipient)
     elif step == "E3":
-        open_goods(prior("E1")[0], body.randomizer, registry[sender])
+        open_goods(logged[sid, "E1"][0], body.randomizer, registry[sender])
     elif step == "E4":
-        offer = prior("E1")[0]
-        open_receipt(prior("E2")[0], body.randomizer, registry[sender],
+        offer = logged[sid, "E1"][0]
+        open_receipt(logged[sid, "E2"][0], body.randomizer, registry[sender],
                      offer.cert.goods_hash, sender)
     elif step == "R1":
         check_recovery_request(body, sender, arbiter_pub, registry)
     else:
-        request = prior("R1")[0]
+        request = logged[sid, "R1"][0]
         if step == "R2":
             if not rsa_verify(request.recovery_cert.pub, body.randomizer,
                               request.enc_randomizer):

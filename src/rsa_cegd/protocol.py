@@ -19,9 +19,10 @@ the harness depend on them:
 
 Each step's check is one pure function (check_offer, check_encrypted_receipt,
 open_goods, open_receipt, check_recovery_request) that raises Reject with a
-stable reason code; the handlers and harness.verify_report both call it. A
-handler whose check rejects leaves its session DANGLING; a message that
-arrives out of phase returns None and changes nothing.
+stable reason code; the handlers and harness.verify_report both call it. The
+session handlers' contract is stated once, by _handler: a message that
+arrives out of phase returns None and changes nothing, and a handler whose
+check rejects leaves its session DANGLING.
 
 A value a check reduces modulo n must lie below n, as RSA decryption
 requires of its input (RFC 8017 5.1.2): otherwise v + n would pass as v.
@@ -30,6 +31,7 @@ requires of its input (RFC 8017 5.1.2): otherwise v + n would pass as v.
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import wraps
 
 from .credentials import (
     GoodsCertificate,
@@ -259,13 +261,22 @@ class EvidenceLedger:
         self.receipts[receipt.signer, receipt.goods_hash] = receipt
 
 
-def _dangle_on_reject(session, check, *args):
-    """`check(*args)`; a Reject moves `session` to its DANGLING phase."""
-    try:
-        return check(*args)
-    except Reject:
-        session.phase = type(session.phase).DANGLING
-        raise
+def _handler(*phases):
+    """A session handler that runs only in one of `phases`: in any other it
+    returns None and changes nothing. A Reject moves the session to its
+    DANGLING phase and propagates."""
+    def decorate(method):
+        @wraps(method)
+        def handler(session, *args, **kwargs):
+            if session.phase not in phases:
+                return None
+            try:
+                return method(session, *args, **kwargs)
+            except Reject:
+                session.phase = type(session.phase).DANGLING
+                raise
+        return handler
+    return decorate
 
 
 class SenderSession:
@@ -288,9 +299,8 @@ class SenderSession:
         # the verified E2, retained as recovery material
         self.enc_receipt: EncryptedReceipt | None = None
 
+    @_handler(SenderPhase.INIT)
     def start(self, goods: bytes, description: bytes) -> GoodsOffer | None:
-        if self.phase is not SenderPhase.INIT:
-            return None
         keys = self.keyring.keys
         key = random_unit(self.rng, keys.n)
         randomizer = random_prime_below(self.rng, keys.n, coprime_to=(keys.n,))
@@ -307,16 +317,14 @@ class SenderSession:
             origin_proof=rsa_sign(keys, cert.goods_hash),
         )
 
+    @_handler(SenderPhase.SENT_OFFER)
     def on_encrypted_receipt(self, msg: EncryptedReceipt,
                              abort: bool = False) -> KeyRelease | None:
         """Verify the E2 material; emit E3, or with abort=True keep the
         verified recovery material and go quiet (the adversarial option —
         nothing on the wire distinguishes it from a lost message)."""
-        if self.phase is not SenderPhase.SENT_OFFER:
-            return None
-        _dangle_on_reject(self, check_encrypted_receipt, msg, self.goods_hash,
-                          self.counter_pub, self.arbiter_pub,
-                          self.enc_randomizer, self.keyring.party_id)
+        check_encrypted_receipt(msg, self.goods_hash, self.counter_pub, self.arbiter_pub,
+                                self.enc_randomizer, self.keyring.party_id)
         self.enc_receipt = msg
         if abort:
             self.phase = SenderPhase.DANGLING
@@ -325,20 +333,18 @@ class SenderSession:
         return KeyRelease(self.randomizer)
 
     def _accept_receipt_randomizer(self, randomizer: int) -> None:
-        receipt = _dangle_on_reject(self, open_receipt, self.enc_receipt, randomizer,
-                                    self.counter_pub, self.goods_hash, self.counterparty)
+        receipt = open_receipt(self.enc_receipt, randomizer, self.counter_pub,
+                               self.goods_hash, self.counterparty)
         self.ledger.credit_receipt(receipt)
         self.phase = SenderPhase.DONE
 
+    @_handler(SenderPhase.SENT_KEY)
     def on_receipt_release(self, msg: ReceiptRelease) -> None:
-        if self.phase is not SenderPhase.SENT_KEY:
-            return None
         self._accept_receipt_randomizer(msg.randomizer)
 
+    @_handler(SenderPhase.SENT_KEY, SenderPhase.DANGLING)
     def on_recovered_randomizer(self, msg: RecoveredReceiptKey) -> None:
         """Arbiter answered a recovery request; unblind the stored triple."""
-        if self.phase not in (SenderPhase.SENT_KEY, SenderPhase.DANGLING):
-            return None
         if self.enc_receipt is None:
             return None
         self._accept_receipt_randomizer(msg.randomizer)
@@ -377,11 +383,9 @@ class ReceiverSession:
         self.offer: GoodsOffer | None = None
         self.randomizer: int | None = None
 
+    @_handler(ReceiverPhase.INIT)
     def on_goods_offer(self, msg: GoodsOffer) -> EncryptedReceipt | None:
-        if self.phase is not ReceiverPhase.INIT:
-            return None
-        sender_enc_randomizer = _dangle_on_reject(
-            self, check_offer, msg, self.ca_pub, self.counter_pub)
+        sender_enc_randomizer = check_offer(msg, self.ca_pub, self.counter_pub)
         keys = self.keyring.keys
         bound = min(keys.n, self.recovery_keys.n)
         randomizer = random_prime_below(self.rng, bound,
@@ -398,26 +402,22 @@ class ReceiverSession:
     def _unlock_goods(self, randomizer: int) -> None:
         """Shared E3/R3 handling. Only on full success do goods and origin
         proof enter the ledger."""
-        payload = _dangle_on_reject(self, open_goods, self.offer, randomizer,
-                                    self.counter_pub)
+        payload = open_goods(self.offer, randomizer, self.counter_pub)
         self.ledger.credit_goods(payload, Signature(
             self.offer.origin_proof, self.offer.cert.goods_hash, self.counterparty))
         self.phase = ReceiverPhase.DONE
 
+    @_handler(ReceiverPhase.SENT_RECEIPT)
     def on_key_release(self, msg: KeyRelease) -> ReceiptRelease | None:
-        if self.phase is not ReceiverPhase.SENT_RECEIPT:
-            return None
         self._unlock_goods(msg.randomizer)
         return ReceiptRelease(self.randomizer)
 
+    @_handler(ReceiverPhase.SENT_RECEIPT)
     def on_recovered_randomizer(self, msg: RecoveredGoodsKey) -> None:
         """Arbiter-delivered randomizer. Tested against the current session
         only; this side never replays it against older sessions' stored
         offers, and has no way to ask the arbiter anything itself."""
-        if self.phase is not ReceiverPhase.SENT_RECEIPT:
-            return None
         self._unlock_goods(msg.randomizer)
-        return None
 
 
 class ArbiterService:

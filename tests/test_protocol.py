@@ -1,7 +1,9 @@
 """State machine behavior: honest transitions, rejects, phase guards, the
 abort option, recovery, and the structural one-sidedness of recovery."""
 
+import ast
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -420,3 +422,46 @@ def test_out_of_phase_message_changes_nothing(genuine, role, handler, step, stat
     result = getattr(session, handler)(*message if step == "goods" else (message,))
     assert result is None
     assert _snapshot(session) == before
+
+
+# --- the README's reason-code table ---------------------------------------------
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _raised_codes():
+    """Every literal passed to Reject(...) in src/, and each code
+    check_goods_cert returns for check_offer to raise."""
+    codes = set()
+    for path in (_ROOT / "src" / "rsa_cegd").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Reject" and isinstance(node.args[0], ast.Constant)):
+                codes.add(node.args[0].value)
+            if isinstance(node, ast.FunctionDef) and node.name == "check_goods_cert":
+                codes.update(ret.value.value for ret in ast.walk(node)
+                             if isinstance(ret, ast.Return)
+                             and isinstance(ret.value, ast.Constant)
+                             and ret.value.value is not None)
+    return codes
+
+
+def _documented_codes():
+    """The first column of the README's `| code | step | what failed |` table."""
+    lines = (_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| code | step | what failed |") + 2  # past the |---| row
+    codes = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        codes.add(line.split("|")[1].strip().strip("`"))
+    return codes
+
+
+def test_readme_reason_codes_are_the_raised_codes():
+    raised, documented = _raised_codes(), _documented_codes()
+    # One code from each source: a step check, check_goods_cert, the verifier.
+    assert {"bad-vres", "hd-mismatch", "misrouted"} <= raised
+    assert raised - documented == set(), "raised but not in the README's table"
+    assert documented - raised == set(), "in the README's table but never raised"

@@ -505,6 +505,32 @@ def test_mode_must_match_milestones(mode, edit, expected):
     assert verify_report(rows) == expected
 
 
+def _place(row):
+    """A genuine record's place in the words of a record-order problem."""
+    if row["type"] == "message":
+        return f"message {row['step']} of session {row['session']}"
+    if row["type"] == "milestone":
+        return f"milestone {row['label']} of session {row['session']}"
+    return f"evidence for {row['party']}" if row["type"] == "evidence" else "the verdict"
+
+
+@pytest.mark.parametrize("mode", ["honest", "replay", "eoo-forward"])
+def test_each_deleted_record_is_one_problem(mode):
+    # Deleting any record after the header is one record-order problem at its
+    # number and nothing else: a message whose check reads the deleted one is
+    # not checked, and no evidence or verdict is checked after the first
+    # misplaced record.
+    rows = _rows(mode)
+    wrong = []
+    for index in range(1, len(rows)):
+        found = _place(rows[index + 1]) if index + 1 < len(rows) else "the end"
+        expected = [f"record {index + 1}: expected {_place(rows[index])}, found {found}"]
+        problems = verify_report(rows[:index] + rows[index + 1:])
+        if problems != expected:
+            wrong.append((index, problems))
+    assert wrong == []
+
+
 # --- fuzz: the verifier never raises ----------------------------------------------
 
 _BAD_VALUES = [[], {}, 5, "zz", None]
