@@ -10,16 +10,19 @@ All functions here are pure and deterministic given their arguments; key
 generation is deterministic given its seed, which is what lets whole
 protocol transcripts reproduce bit for bit. The only module state is
 `_big_pow`, the exponentiation kernel bound on first use, and no result
-depends on it.
+depends on it. That kernel holds libcrypto state in its closure: one
+BN_CTX, its BIGNUMs and a Montgomery context for the last (exponent,
+modulus) it saw, all behind one `threading.Lock`.
 
 Every modular exponentiation goes through this module's `pow`, which hands
-large exponents to libcrypto's BN_mod_exp and returns exactly what
-`builtins.pow` returns.
+large exponents with an odd modulus to libcrypto's BN_mod_exp_mont (which
+needs an odd modulus) and returns exactly what `builtins.pow` returns.
 """
 
 import builtins
 import hashlib
 import random
+import threading
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -38,12 +41,12 @@ class GenerationFailure(RuntimeError):
     """Rejection sampling exhausted its retry budget."""
 
 
-# Least exponent sent to BN_mod_exp: 128 bits. Below it the fixed cost of
-# the calls is not repaid (with e = 65537, BN_mod_exp ran at 0.24-0.29x,
+# Least exponent sent to BN_mod_exp_mont: 128 bits. Below it the fixed cost
+# of the calls is not repaid (with e = 65537, BN_mod_exp ran at 0.24-0.29x,
 # 0.44-0.56x and 1.04-1.24x the speed of builtins.pow at 128-, 256- and
 # 512-bit moduli); a 128-bit exponent already ran 2.1x faster at 128 bits.
 _BN_MIN_EXPONENT = 1 << 127
-# BN_mod_exp as a function of three ints, bound on the first call that
+# BN_mod_exp_mont as a function of three ints, bound on the first call that
 # needs it; builtins.pow when libcrypto cannot be loaded.
 _big_pow = None
 
@@ -51,12 +54,13 @@ _big_pow = None
 def pow(base: int, exponent: int, modulus: int) -> int:
     """builtins.pow(base, exponent, modulus), with the same result.
 
-    A non-negative base with an exponent of at least 128 bits and a
-    positive modulus goes to libcrypto's BN_mod_exp; everything else
-    (small exponents, inverses, negative operands) to builtins.pow.
+    A non-negative base with an exponent of at least 128 bits and an odd
+    positive modulus goes to libcrypto's BN_mod_exp_mont; everything else
+    (small exponents, inverses, negative operands, even moduli) to
+    builtins.pow.
     """
     global _big_pow
-    if base < 0 or exponent < _BN_MIN_EXPONENT or modulus < 1:
+    if base < 0 or exponent < _BN_MIN_EXPONENT or modulus < 1 or not modulus & 1:
         return builtins.pow(base, exponent, modulus)
     if _big_pow is None:
         _big_pow = _load_bn_mod_exp()
@@ -64,8 +68,8 @@ def pow(base: int, exponent: int, modulus: int) -> int:
 
 
 def _load_bn_mod_exp():
-    """libcrypto's BN_mod_exp wrapped for ints, or builtins.pow when ctypes,
-    `_hashlib` or a symbol is missing.
+    """libcrypto's BN_mod_exp_mont wrapped for ints, or builtins.pow when
+    ctypes, `_hashlib` or a symbol is missing.
 
     `_hashlib` links libcrypto, so a handle on its shared object resolves
     the BN symbols through that dependency, and no second libcrypto is
@@ -82,9 +86,12 @@ def _load_bn_mod_exp():
             "BN_CTX_free": (None, [ptr]),
             "BN_new": (ptr, []),
             "BN_free": (None, [ptr]),
+            "BN_MONT_CTX_new": (ptr, []),
+            "BN_MONT_CTX_free": (None, [ptr]),
+            "BN_MONT_CTX_set": (size, [ptr, ptr, ptr]),
             "BN_bin2bn": (ptr, [ctypes.c_char_p, size, ptr]),
             "BN_bn2binpad": (size, [ptr, ctypes.c_char_p, size]),
-            "BN_mod_exp": (size, [ptr, ptr, ptr, ptr, ptr]),
+            "BN_mod_exp_mont": (size, [ptr, ptr, ptr, ptr, ptr, ptr]),
         }
         for name, (restype, argtypes) in signatures.items():
             function = getattr(lib, name)
@@ -95,35 +102,69 @@ def _load_bn_mod_exp():
 
 
 def _bn_mod_exp_of(lib, make_buffer):
-    """base**exponent mod modulus through `lib`'s BN functions, for
-    non-negative ints and a positive modulus. The BN_CTX and every BIGNUM
-    are made for the call and freed before it returns. A NULL or a failed
-    BN_mod_exp means libcrypto ran out of memory, and raises MemoryError."""
+    """base**exponent mod modulus through `lib`'s BN_mod_exp_mont, for
+    non-negative ints and an odd positive modulus.
+
+    The first call allocates one BN_CTX, four BIGNUMs (base, exponent,
+    modulus, result) and one BN_MONT_CTX; they live in this closure for the
+    life of the process, and no later call allocates a handle. The
+    Montgomery context is set for the last (exponent, modulus) seen, so a
+    call that repeats them, as the Miller-Rabin rounds on one candidate and
+    the signatures under one key do, converts only its base. A lock
+    serializes the calls: ctypes releases the GIL during each foreign call,
+    and the held state is shared.
+
+    A NULL or a failed BN call means libcrypto ran out of memory, and raises
+    MemoryError; a failed allocation frees what it had made, and a failure
+    while setting the operands forgets the held (exponent, modulus), so the
+    next call starts over and never reads a half-set context.
+    """
+    lock = threading.Lock()
+    held = None  # (ctx, mont, base, exponent, modulus, result) handles
+    held_key = None  # the (exponent, modulus) the held BIGNUMs and mont are set to
 
     def checked(result):
         if not result:
-            raise MemoryError("libcrypto could not allocate for BN_mod_exp")
+            raise MemoryError("libcrypto could not allocate for BN_mod_exp_mont")
         return result
 
-    def bn_mod_exp(base, exponent, modulus):
-        ctx = checked(lib.BN_CTX_new())
-        numbers = []
+    def allocate():
+        made = []
         try:
-            for value in (base, exponent, modulus):
-                raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-                numbers.append(checked(lib.BN_bin2bn(raw, len(raw), None)))
-            result = checked(lib.BN_new())
-            numbers.append(result)
-            checked(lib.BN_mod_exp(result, *numbers[:3], ctx))
+            made.append(checked(lib.BN_CTX_new()))
+            made.append(checked(lib.BN_MONT_CTX_new()))
+            for _ in range(4):
+                made.append(checked(lib.BN_new()))
+        except MemoryError:
+            frees = [lib.BN_CTX_free, lib.BN_MONT_CTX_free] + [lib.BN_free] * 4
+            for free, handle in zip(frees, made):
+                free(handle)
+            raise
+        return made
+
+    def store(value, number):
+        raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        checked(lib.BN_bin2bn(raw, len(raw), number))
+
+    def bn_mod_exp(base, exponent, modulus):
+        nonlocal held, held_key
+        with lock:
+            if held is None:
+                held = allocate()
+            ctx, mont, bn_base, bn_exponent, bn_modulus, result = held
+            if held_key != (exponent, modulus):
+                held_key = None
+                store(exponent, bn_exponent)
+                store(modulus, bn_modulus)
+                checked(lib.BN_MONT_CTX_set(mont, bn_modulus, ctx))
+                held_key = (exponent, modulus)
+            store(base, bn_base)
+            checked(lib.BN_mod_exp_mont(result, bn_base, bn_exponent, bn_modulus, ctx, mont))
             # The result is below the modulus, so it fits the modulus's width.
             width = (modulus.bit_length() + 7) // 8
             out = make_buffer(width)
             lib.BN_bn2binpad(result, out, width)
             return int.from_bytes(out.raw, "big")
-        finally:
-            for number in numbers:
-                lib.BN_free(number)
-            lib.BN_CTX_free(ctx)
 
     return bn_mod_exp
 
@@ -259,6 +300,9 @@ _SIEVE_LIMIT = 2048
 _SMALL_PRIMES = _sieve(_SIEVE_LIMIT)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _PRIMORIAL = prod(_SMALL_PRIMES)
+# The odd primes 3..47: a 59-bit divisor of _PRIMORIAL, so a gcd with it runs
+# on one machine word and rejects 72% of odd candidates before the full gcd.
+_WORD_PRIMORIAL = prod(_SMALL_PRIMES[1:15])
 # Fixed Miller-Rabin bases: the first 40 primes. Deterministic, so primality
 # answers never depend on RNG state.
 _MR_BASES = _SMALL_PRIMES[:40]
@@ -296,7 +340,8 @@ def is_probable_prime(candidate: int) -> bool:
 
     Values below the sieve limit (2048) are looked up in the set of primes
     below it. Larger values sharing a factor with the product of those
-    primes are composite; one with no such factor and below 2048**2 is
+    primes are composite (a one-word gcd with the odd primes up to 47 finds
+    most of them first); one with no such factor and below 2048**2 is
     prime. Everything else gets Miller-Rabin with the first t of 40 fixed
     prime bases, where t depends on where the candidate came from:
 
@@ -313,7 +358,8 @@ def is_probable_prime(candidate: int) -> bool:
     """
     if candidate < _SIEVE_LIMIT:
         return candidate in _SMALL_PRIME_SET
-    if gcd(candidate, _PRIMORIAL) != 1:
+    if (gcd(candidate % _WORD_PRIMORIAL, _WORD_PRIMORIAL) != 1
+            or gcd(candidate, _PRIMORIAL) != 1):
         return False
     if candidate < _SIEVE_LIMIT * _SIEVE_LIMIT:
         return True

@@ -9,8 +9,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from functools import partial
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -392,6 +393,19 @@ def test_primality_matches_reference_on_random_values():
     assert_same_primality(rng.getrandbits(256) for _ in range(2000))
 
 
+def test_word_precheck_agrees_with_primorial_gcd():
+    # The one-word gcd rejects only values the primorial gcd rejects, so
+    # placing it first changes no answer.
+    word, primorial = crypto_mod._WORD_PRIMORIAL, crypto_mod._PRIMORIAL
+    assert word < 1 << 64 and primorial % word == 0
+    rng = random.Random(23)
+    odd = [*range(2049, 1 << 20, 2),
+           *(rng.getrandbits(bits) | 1 for bits in (256, 512) for _ in range(2000))]
+    for value in odd:
+        full = gcd(value, primorial) != 1
+        assert (gcd(value % word, word) != 1 or full) == full, value
+
+
 def assert_same_primality_drawn(values):
     for n in values:
         assert is_probable_prime(Drawn(n)) == reference_is_probable_prime(n), n
@@ -584,19 +598,23 @@ def test_rsa_verify_rejects_signature_not_below_modulus():
 
 # --- the modexp kernel ----------------------------------------------------------
 
-_THRESHOLD = 1 << 127  # the least exponent crypto.pow sends to BN_mod_exp
+_THRESHOLD = 1 << 127  # the least exponent crypto.pow sends to BN_mod_exp_mont
 _P521 = (1 << 521) - 1
 
-# (base, exponent, modulus, whether crypto.pow sends it to BN_mod_exp)
+# (base, exponent, modulus, whether crypto.pow sends it to BN_mod_exp_mont).
+# The rows run in this order through the process's one kernel, so the BN rows
+# meet both a held (exponent, modulus) and a change of it.
 _POW_EDGES = {
     "exponent-2^127-1": (3, _THRESHOLD - 1, _P521, False),
     "exponent-2^127": (3, _THRESHOLD, _P521, True),
     "base-0": (0, _THRESHOLD, _P521, True),
     "base-above-modulus": (_P521 + 5, _THRESHOLD + 1, _P521, True),
     "base-far-above-modulus": ((1 << 2000) + 3, _THRESHOLD + 1, _P521, True),
-    "even-modulus": (3, _THRESHOLD + 1, 1 << 512, True),
-    "even-modulus-not-power": (5, (1 << 300) - 1, (1 << 400) - 2, True),
-    "modulus-2": (3, _THRESHOLD, 2, True),
+    "same-modulus-new-exponent": (3, _THRESHOLD + 3, _P521, True),
+    "same-operands-new-base": (6, _THRESHOLD + 3, _P521, True),
+    "even-modulus": (3, _THRESHOLD + 1, 1 << 512, False),
+    "even-modulus-not-power": (5, (1 << 300) - 1, (1 << 400) - 2, False),
+    "modulus-2": (3, _THRESHOLD, 2, False),
     "modulus-1": (3, _THRESHOLD, 1, True),
     "base-0-modulus-1": (0, _THRESHOLD, 1, True),
     "negative-base": (-3, _THRESHOLD, _P521, False),
@@ -682,7 +700,9 @@ def test_golden_digests_without_libcrypto(monkeypatch):
 class _FakeLibcrypto:
     """The BN functions `_bn_mod_exp_of` calls, over Python ints, keeping
     the set of live handles. The `fail_at`-th call of `fail` returns NULL
-    (BN_mod_exp returns 0)."""
+    (BN_MONT_CTX_set and BN_mod_exp_mont return 0). BN_mod_exp_mont reduces
+    by the modulus its Montgomery context was set to, as libcrypto does, so
+    a stale context gives a wrong answer."""
 
     def __init__(self, fail=None, fail_at=1):
         self.fail, self.fail_at = fail, fail_at
@@ -694,33 +714,46 @@ class _FakeLibcrypto:
         self.calls[name] = self.calls.get(name, 0) + 1
         return name == self.fail and self.calls[name] == self.fail_at
 
-    def _new(self, name, value=0):
+    def _new(self, name):
         if self._failing(name):
             return None
         handle = len(self.values) + 1  # never 0, which is NULL
-        self.values[handle] = value
+        self.values[handle] = 0
         self.live.add(handle)
         return handle
 
     def BN_CTX_new(self):
         return self._new("BN_CTX_new")
 
+    def BN_MONT_CTX_new(self):
+        return self._new("BN_MONT_CTX_new")
+
     def BN_new(self):
         return self._new("BN_new")
-
-    def BN_bin2bn(self, raw, size, _):
-        return self._new("BN_bin2bn", int.from_bytes(raw[:size], "big"))
 
     def BN_free(self, handle):
         self.live.remove(handle)
 
-    BN_CTX_free = BN_free
+    BN_CTX_free = BN_MONT_CTX_free = BN_free
 
-    def BN_mod_exp(self, result, base, exponent, modulus, ctx):
-        if self._failing("BN_mod_exp"):
+    def BN_bin2bn(self, raw, size, number):
+        if self._failing("BN_bin2bn"):
+            return None
+        assert number in self.live  # the kernel always passes a held BIGNUM
+        self.values[number] = int.from_bytes(raw[:size], "big")
+        return number
+
+    def BN_MONT_CTX_set(self, mont, modulus, ctx):
+        if self._failing("BN_MONT_CTX_set"):
+            return 0
+        self.values[mont] = self.values[modulus]
+        return 1
+
+    def BN_mod_exp_mont(self, result, base, exponent, modulus, ctx, mont):
+        if self._failing("BN_mod_exp_mont"):
             return 0
         values = self.values
-        values[result] = builtins.pow(values[base], values[exponent], values[modulus])
+        values[result] = builtins.pow(values[base], values[exponent], values[mont])
         return 1
 
     def BN_bn2binpad(self, number, out, width):
@@ -728,21 +761,114 @@ class _FakeLibcrypto:
         return width
 
 
-@pytest.mark.parametrize("fail, fail_at", [
-    (None, 1), ("BN_CTX_new", 1), ("BN_bin2bn", 1), ("BN_bin2bn", 3), ("BN_new", 1),
-    ("BN_mod_exp", 1),
-])
-def test_bn_mod_exp_frees_what_it_allocates(fail, fail_at):
+def _fake_kernel(fail=None, fail_at=1):
     import ctypes
     lib = _FakeLibcrypto(fail, fail_at)
-    bn_mod_exp = crypto_mod._bn_mod_exp_of(lib, ctypes.create_string_buffer)
-    args = (7, _THRESHOLD + 1, (1 << 89) - 1)
-    if fail is None:
+    return lib, crypto_mod._bn_mod_exp_of(lib, ctypes.create_string_buffer)
+
+
+_KERNEL_A = (7, _THRESHOLD + 1, (1 << 89) - 1)
+_KERNEL_B = (5, _THRESHOLD + 7, (1 << 107) - 1)
+
+
+def test_bn_mod_exp_allocates_once():
+    lib, bn_mod_exp = _fake_kernel()
+    assert bn_mod_exp(*_KERNEL_A) == builtins.pow(*_KERNEL_A)
+    held = set(lib.live)
+    assert len(held) == 6  # BN_CTX, BN_MONT_CTX, base, exponent, modulus, result
+    for i in range(50):
+        args = (_KERNEL_B, _KERNEL_A)[i % 2]
         assert bn_mod_exp(*args) == builtins.pow(*args)
+        assert lib.live == held
+    assert lib.calls["BN_MONT_CTX_set"] == 51  # every call changed the modulus
+
+
+@pytest.mark.parametrize("fail, fail_at", [
+    # the first call, with _KERNEL_A: allocation, exponent, modulus, context,
+    # base, exponentiation
+    ("BN_CTX_new", 1), ("BN_MONT_CTX_new", 1), ("BN_new", 1), ("BN_new", 4),
+    ("BN_bin2bn", 1), ("BN_bin2bn", 2), ("BN_MONT_CTX_set", 1), ("BN_bin2bn", 3),
+    ("BN_mod_exp_mont", 1),
+    # the second call, with _KERNEL_B: exponent, modulus, context, base,
+    # exponentiation
+    ("BN_bin2bn", 4), ("BN_bin2bn", 5), ("BN_MONT_CTX_set", 2), ("BN_bin2bn", 6),
+    ("BN_mod_exp_mont", 2),
+])
+@pytest.mark.parametrize("next_call", ["same", "other"])
+def test_bn_mod_exp_frees_what_it_allocates(fail, fail_at, next_call):
+    # A failure frees a partial allocation and leaves no half-set state.
+    lib, bn_mod_exp = _fake_kernel(fail, fail_at)
+    for args in (_KERNEL_A, _KERNEL_B):
+        try:
+            assert bn_mod_exp(*args) == builtins.pow(*args)
+        except MemoryError:
+            failed = args
+            break
     else:
-        with pytest.raises(MemoryError):
-            bn_mod_exp(*args)
-    assert lib.live == set()
+        raise AssertionError(f"no MemoryError from {fail} #{fail_at}")
+    # Neither the failed operands nor the others may meet a half-set state.
+    other = _KERNEL_B if failed is _KERNEL_A else _KERNEL_A
+    after = (failed, other) if next_call == "same" else (other, failed)
+    for args in after + after:
+        assert bn_mod_exp(*args) == builtins.pow(*args)
+    assert len(lib.live) == 6
+
+
+def test_bn_mod_exp_converts_only_the_base_on_a_repeat():
+    lib, bn_mod_exp = _fake_kernel()
+    for base in (2, 3, 5, 7):
+        assert bn_mod_exp(base, *_KERNEL_A[1:]) == builtins.pow(base, *_KERNEL_A[1:])
+    assert lib.calls["BN_MONT_CTX_set"] == 1
+    assert lib.calls["BN_bin2bn"] == 2 + 4  # exponent and modulus once, each base
+
+
+_P127, _P89 = (1 << 127) - 1, (1 << 89) - 1
+# Call sequences for the held (exponent, modulus): repeats, two alternating,
+# one modulus under a new exponent, and the edge operands.
+_HELD_SEQUENCES = {
+    "repeat": [(b, _THRESHOLD + 1, _P521) for b in (2, 3, 5, 2)],
+    "alternate": [(b, _THRESHOLD + m, m) for b in (2, 3, 5) for m in (_P127, _P89)],
+    "new-exponent": [(3, _THRESHOLD + e, _P127) for e in (1, 2, 1, 1 << 200)],
+    "base-0": [(0, _THRESHOLD, _P127), (3, _THRESHOLD, _P127), (0, _THRESHOLD, _P127)],
+    "base-at-or-above-modulus": [(_P127, _THRESHOLD, _P127), (_P127 + 2, _THRESHOLD, _P127),
+                                 ((1 << 700) + 9, _THRESHOLD, _P127)],
+    "modulus-1": [(3, _THRESHOLD, 1), (0, _THRESHOLD, 1), (3, _THRESHOLD, _P127),
+                  (3, _THRESHOLD, 1)],
+}
+
+
+@pytest.mark.parametrize("sequence", _HELD_SEQUENCES.values(), ids=list(_HELD_SEQUENCES))
+@pytest.mark.parametrize("kernel", ["libcrypto", "fake"])
+def test_held_state_matches_builtin(kernel, sequence):
+    bn_mod_exp = crypto_mod._load_bn_mod_exp() if kernel == "libcrypto" else _fake_kernel()[1]
+    for args in sequence:
+        assert bn_mod_exp(*args) == builtins.pow(*args), args
+
+
+def test_held_state_is_safe_across_two_threads():
+    # Each thread holds its own modulus; interleaved calls must not mix the
+    # held exponent, modulus or context of one into the other's answers.
+    bn_mod_exp = crypto_mod._load_bn_mod_exp()
+    moduli = (_P521, _P127 * _P89)
+    right, wrong = [], []
+
+    def work(modulus):
+        for i in range(200):
+            args = (i + 2, modulus - 2, modulus)
+            (right if bn_mod_exp(*args) == builtins.pow(*args) else wrong).append(args)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(m,)) for m in moduli]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(right) == 400  # a thread that raised checked fewer
 
 
 _LAZY_LOAD_CHILD = """
