@@ -11,12 +11,13 @@ generation is deterministic given its seed, which is what lets whole
 protocol transcripts reproduce bit for bit. The only module state is
 `_big_pow`, the exponentiation kernel bound on first use, and no result
 depends on it. That kernel holds libcrypto state in its closure: one
-BN_CTX, its BIGNUMs and a Montgomery context for the last (exponent,
-modulus) it saw, all behind one `threading.Lock`.
+BN_CTX, its BIGNUMs and a Montgomery context for the last odd modulus
+below 1024 bits it saw, all behind one `threading.Lock`.
 
 Every modular exponentiation goes through this module's `pow`, which hands
-large exponents with an odd modulus to libcrypto's BN_mod_exp_mont (which
-needs an odd modulus) and returns exactly what `builtins.pow` returns.
+large exponents to libcrypto and returns exactly what `builtins.pow`
+returns. Odd moduli below 1024 bits go to BN_mod_exp_mont with the held
+Montgomery context; wider and even moduli go to BN_mod_exp.
 """
 
 import builtins
@@ -41,26 +42,30 @@ class GenerationFailure(RuntimeError):
     """Rejection sampling exhausted its retry budget."""
 
 
-# Least exponent sent to BN_mod_exp_mont: 128 bits. Below it the fixed cost
-# of the calls is not repaid (with e = 65537, BN_mod_exp ran at 0.24-0.29x,
+# Least exponent sent to libcrypto: 128 bits. Below it the fixed cost of
+# the calls is not repaid (with e = 65537, BN_mod_exp ran at 0.24-0.29x,
 # 0.44-0.56x and 1.04-1.24x the speed of builtins.pow at 128-, 256- and
 # 512-bit moduli); a 128-bit exponent already ran 2.1x faster at 128 bits.
 _BN_MIN_EXPONENT = 1 << 127
-# BN_mod_exp_mont as a function of three ints, bound on the first call that
-# needs it; builtins.pow when libcrypto cannot be loaded.
+# Widest odd modulus, in bits, that gets the held Montgomery context. A
+# Miller-Rabin round through it took 0.65x, 0.86x and 1.00x the time of
+# BN_mod_exp at 256, 512 and 768 bits, but 1.07x at 1024 and 1.15x at 2048,
+# where BN_mod_exp's path for a one-word base (every Miller-Rabin base) wins.
+_MONT_MAX_BITS = 1023
+# libcrypto's modular exponentiation as a function of three ints, bound on
+# the first call that needs it; builtins.pow when libcrypto cannot be loaded.
 _big_pow = None
 
 
 def pow(base: int, exponent: int, modulus: int) -> int:
     """builtins.pow(base, exponent, modulus), with the same result.
 
-    A non-negative base with an exponent of at least 128 bits and an odd
-    positive modulus goes to libcrypto's BN_mod_exp_mont; everything else
-    (small exponents, inverses, negative operands, even moduli) to
-    builtins.pow.
+    A non-negative base with an exponent of at least 128 bits and a
+    positive modulus goes to libcrypto; everything else (small exponents,
+    inverses, negative operands) to builtins.pow.
     """
     global _big_pow
-    if base < 0 or exponent < _BN_MIN_EXPONENT or modulus < 1 or not modulus & 1:
+    if base < 0 or exponent < _BN_MIN_EXPONENT or modulus < 1:
         return builtins.pow(base, exponent, modulus)
     if _big_pow is None:
         _big_pow = _load_bn_mod_exp()
@@ -68,8 +73,8 @@ def pow(base: int, exponent: int, modulus: int) -> int:
 
 
 def _load_bn_mod_exp():
-    """libcrypto's BN_mod_exp_mont wrapped for ints, or builtins.pow when
-    ctypes, `_hashlib` or a symbol is missing.
+    """libcrypto's modular exponentiation wrapped for ints, or builtins.pow
+    when ctypes, `_hashlib` or a symbol is missing.
 
     `_hashlib` links libcrypto, so a handle on its shared object resolves
     the BN symbols through that dependency, and no second libcrypto is
@@ -86,11 +91,13 @@ def _load_bn_mod_exp():
             "BN_CTX_free": (None, [ptr]),
             "BN_new": (ptr, []),
             "BN_free": (None, [ptr]),
+            "BN_clear": (None, [ptr]),
             "BN_MONT_CTX_new": (ptr, []),
             "BN_MONT_CTX_free": (None, [ptr]),
             "BN_MONT_CTX_set": (size, [ptr, ptr, ptr]),
             "BN_bin2bn": (ptr, [ctypes.c_char_p, size, ptr]),
             "BN_bn2binpad": (size, [ptr, ctypes.c_char_p, size]),
+            "BN_mod_exp": (size, [ptr, ptr, ptr, ptr, ptr]),
             "BN_mod_exp_mont": (size, [ptr, ptr, ptr, ptr, ptr, ptr]),
         }
         for name, (restype, argtypes) in signatures.items():
@@ -102,30 +109,33 @@ def _load_bn_mod_exp():
 
 
 def _bn_mod_exp_of(lib, make_buffer):
-    """base**exponent mod modulus through `lib`'s BN_mod_exp_mont, for
-    non-negative ints and an odd positive modulus.
+    """base**exponent mod modulus through `lib`'s BN functions, for
+    non-negative ints and a positive modulus.
 
     The first call allocates one BN_CTX, four BIGNUMs (base, exponent,
     modulus, result) and one BN_MONT_CTX; they live in this closure for the
-    life of the process, and no later call allocates a handle. The
-    Montgomery context is set for the last (exponent, modulus) seen, so a
-    call that repeats them, as the Miller-Rabin rounds on one candidate and
-    the signatures under one key do, converts only its base. A lock
-    serializes the calls: ctypes releases the GIL during each foreign call,
-    and the held state is shared.
+    life of the process, and no later call allocates a handle. An odd
+    modulus of at most _MONT_MAX_BITS goes to BN_mod_exp_mont with the
+    Montgomery context, which is set again only when the modulus changes, so
+    the Miller-Rabin rounds on one candidate and the operations under one
+    key share it. Any other modulus goes to BN_mod_exp. The exponent BIGNUM
+    is cleared before each call returns, so no private exponent stays in the
+    kernel; the base, modulus and result BIGNUMs keep the last call's
+    values. A lock serializes the calls: ctypes releases the GIL during each
+    foreign call, and the held state is shared.
 
     A NULL or a failed BN call means libcrypto ran out of memory, and raises
     MemoryError; a failed allocation frees what it had made, and a failure
-    while setting the operands forgets the held (exponent, modulus), so the
-    next call starts over and never reads a half-set context.
+    while setting the modulus forgets the held one, so the next call starts
+    over and never reads a half-set context.
     """
     lock = threading.Lock()
     held = None  # (ctx, mont, base, exponent, modulus, result) handles
-    held_key = None  # the (exponent, modulus) the held BIGNUMs and mont are set to
+    held_modulus = None  # the modulus `mont` is set to
 
     def checked(result):
         if not result:
-            raise MemoryError("libcrypto could not allocate for BN_mod_exp_mont")
+            raise MemoryError("libcrypto could not allocate for modular exponentiation")
         return result
 
     def allocate():
@@ -147,19 +157,28 @@ def _bn_mod_exp_of(lib, make_buffer):
         checked(lib.BN_bin2bn(raw, len(raw), number))
 
     def bn_mod_exp(base, exponent, modulus):
-        nonlocal held, held_key
+        nonlocal held, held_modulus
         with lock:
             if held is None:
                 held = allocate()
             ctx, mont, bn_base, bn_exponent, bn_modulus, result = held
-            if held_key != (exponent, modulus):
-                held_key = None
+            try:
+                store(base, bn_base)
                 store(exponent, bn_exponent)
-                store(modulus, bn_modulus)
-                checked(lib.BN_MONT_CTX_set(mont, bn_modulus, ctx))
-                held_key = (exponent, modulus)
-            store(base, bn_base)
-            checked(lib.BN_mod_exp_mont(result, bn_base, bn_exponent, bn_modulus, ctx, mont))
+                if modulus & 1 and modulus.bit_length() <= _MONT_MAX_BITS:
+                    if held_modulus != modulus:
+                        held_modulus = None
+                        store(modulus, bn_modulus)
+                        checked(lib.BN_MONT_CTX_set(mont, bn_modulus, ctx))
+                        held_modulus = modulus
+                    checked(lib.BN_mod_exp_mont(result, bn_base, bn_exponent,
+                                                bn_modulus, ctx, mont))
+                else:
+                    held_modulus = None
+                    store(modulus, bn_modulus)
+                    checked(lib.BN_mod_exp(result, bn_base, bn_exponent, bn_modulus, ctx))
+            finally:
+                lib.BN_clear(bn_exponent)
             # The result is below the modulus, so it fits the modulus's width.
             width = (modulus.bit_length() + 7) // 8
             out = make_buffer(width)

@@ -598,12 +598,12 @@ def test_rsa_verify_rejects_signature_not_below_modulus():
 
 # --- the modexp kernel ----------------------------------------------------------
 
-_THRESHOLD = 1 << 127  # the least exponent crypto.pow sends to BN_mod_exp_mont
+_THRESHOLD = 1 << 127  # the least exponent crypto.pow sends to libcrypto
 _P521 = (1 << 521) - 1
 
-# (base, exponent, modulus, whether crypto.pow sends it to BN_mod_exp_mont).
+# (base, exponent, modulus, whether crypto.pow sends it to libcrypto).
 # The rows run in this order through the process's one kernel, so the BN rows
-# meet both a held (exponent, modulus) and a change of it.
+# meet both a held modulus and a change of it.
 _POW_EDGES = {
     "exponent-2^127-1": (3, _THRESHOLD - 1, _P521, False),
     "exponent-2^127": (3, _THRESHOLD, _P521, True),
@@ -612,9 +612,9 @@ _POW_EDGES = {
     "base-far-above-modulus": ((1 << 2000) + 3, _THRESHOLD + 1, _P521, True),
     "same-modulus-new-exponent": (3, _THRESHOLD + 3, _P521, True),
     "same-operands-new-base": (6, _THRESHOLD + 3, _P521, True),
-    "even-modulus": (3, _THRESHOLD + 1, 1 << 512, False),
-    "even-modulus-not-power": (5, (1 << 300) - 1, (1 << 400) - 2, False),
-    "modulus-2": (3, _THRESHOLD, 2, False),
+    "even-modulus": (3, _THRESHOLD + 1, 1 << 512, True),
+    "even-modulus-not-power": (5, (1 << 300) - 1, (1 << 400) - 2, True),
+    "modulus-2": (3, _THRESHOLD, 2, True),
     "modulus-1": (3, _THRESHOLD, 1, True),
     "base-0-modulus-1": (0, _THRESHOLD, 1, True),
     "negative-base": (-3, _THRESHOLD, _P521, False),
@@ -700,9 +700,9 @@ def test_golden_digests_without_libcrypto(monkeypatch):
 class _FakeLibcrypto:
     """The BN functions `_bn_mod_exp_of` calls, over Python ints, keeping
     the set of live handles. The `fail_at`-th call of `fail` returns NULL
-    (BN_MONT_CTX_set and BN_mod_exp_mont return 0). BN_mod_exp_mont reduces
-    by the modulus its Montgomery context was set to, as libcrypto does, so
-    a stale context gives a wrong answer."""
+    (BN_MONT_CTX_set and the exponentiations return 0). BN_mod_exp_mont
+    answers -1 unless its modulus equals the one its Montgomery context was
+    set to, so a stale context gives a wrong answer."""
 
     def __init__(self, fail=None, fail_at=1):
         self.fail, self.fail_at = fail, fail_at
@@ -736,6 +736,9 @@ class _FakeLibcrypto:
 
     BN_CTX_free = BN_MONT_CTX_free = BN_free
 
+    def BN_clear(self, number):
+        self.values[number] = 0
+
     def BN_bin2bn(self, raw, size, number):
         if self._failing("BN_bin2bn"):
             return None
@@ -753,7 +756,15 @@ class _FakeLibcrypto:
         if self._failing("BN_mod_exp_mont"):
             return 0
         values = self.values
-        values[result] = builtins.pow(values[base], values[exponent], values[mont])
+        values[result] = (builtins.pow(values[base], values[exponent], values[mont])
+                          if values[modulus] == values[mont] else -1)
+        return 1
+
+    def BN_mod_exp(self, result, base, exponent, modulus, ctx):
+        if self._failing("BN_mod_exp"):
+            return 0
+        values = self.values
+        values[result] = builtins.pow(values[base], values[exponent], values[modulus])
         return 1
 
     def BN_bn2binpad(self, number, out, width):
@@ -769,6 +780,11 @@ def _fake_kernel(fail=None, fail_at=1):
 
 _KERNEL_A = (7, _THRESHOLD + 1, (1 << 89) - 1)
 _KERNEL_B = (5, _THRESHOLD + 7, (1 << 107) - 1)
+_KERNEL_EVEN = (3, _THRESHOLD + 5, 1 << 100)  # BN_mod_exp's, not the context's
+
+
+def _holds_no_exponent(lib, exponent):
+    return all(lib.values[handle] != exponent for handle in lib.live)
 
 
 def test_bn_mod_exp_allocates_once():
@@ -784,51 +800,80 @@ def test_bn_mod_exp_allocates_once():
 
 
 @pytest.mark.parametrize("fail, fail_at", [
-    # the first call, with _KERNEL_A: allocation, exponent, modulus, context,
-    # base, exponentiation
+    # the first call, with _KERNEL_A: allocation, base, exponent, modulus,
+    # context, exponentiation
     ("BN_CTX_new", 1), ("BN_MONT_CTX_new", 1), ("BN_new", 1), ("BN_new", 4),
-    ("BN_bin2bn", 1), ("BN_bin2bn", 2), ("BN_MONT_CTX_set", 1), ("BN_bin2bn", 3),
+    ("BN_bin2bn", 1), ("BN_bin2bn", 2), ("BN_bin2bn", 3), ("BN_MONT_CTX_set", 1),
     ("BN_mod_exp_mont", 1),
-    # the second call, with _KERNEL_B: exponent, modulus, context, base,
+    # the second, with _KERNEL_B: base, exponent, modulus, context,
     # exponentiation
-    ("BN_bin2bn", 4), ("BN_bin2bn", 5), ("BN_MONT_CTX_set", 2), ("BN_bin2bn", 6),
+    ("BN_bin2bn", 4), ("BN_bin2bn", 5), ("BN_bin2bn", 6), ("BN_MONT_CTX_set", 2),
     ("BN_mod_exp_mont", 2),
+    # the third, with _KERNEL_EVEN: base, exponent, modulus, exponentiation
+    ("BN_bin2bn", 7), ("BN_bin2bn", 8), ("BN_bin2bn", 9), ("BN_mod_exp", 1),
 ])
 @pytest.mark.parametrize("next_call", ["same", "other"])
 def test_bn_mod_exp_frees_what_it_allocates(fail, fail_at, next_call):
-    # A failure frees a partial allocation and leaves no half-set state.
+    # A failure frees a partial allocation, clears the exponent and leaves
+    # no half-set state.
     lib, bn_mod_exp = _fake_kernel(fail, fail_at)
-    for args in (_KERNEL_A, _KERNEL_B):
+    kernels = (_KERNEL_A, _KERNEL_B, _KERNEL_EVEN)
+    for args in kernels:
         try:
             assert bn_mod_exp(*args) == builtins.pow(*args)
         except MemoryError:
             failed = args
             break
+        finally:
+            assert _holds_no_exponent(lib, args[1])
     else:
         raise AssertionError(f"no MemoryError from {fail} #{fail_at}")
     # Neither the failed operands nor the others may meet a half-set state.
-    other = _KERNEL_B if failed is _KERNEL_A else _KERNEL_A
-    after = (failed, other) if next_call == "same" else (other, failed)
+    others = tuple(args for args in kernels if args is not failed)
+    after = (failed, *others) if next_call == "same" else (*others, failed)
     for args in after + after:
         assert bn_mod_exp(*args) == builtins.pow(*args)
+        assert _holds_no_exponent(lib, args[1])
     assert len(lib.live) == 6
 
 
-def test_bn_mod_exp_converts_only_the_base_on_a_repeat():
+def test_bn_mod_exp_sets_the_context_once_per_modulus():
     lib, bn_mod_exp = _fake_kernel()
-    for base in (2, 3, 5, 7):
-        assert bn_mod_exp(base, *_KERNEL_A[1:]) == builtins.pow(base, *_KERNEL_A[1:])
+    calls = [(base, _KERNEL_A[1] + e, _KERNEL_A[2]) for base, e in ((2, 0), (3, 0), (5, 2), (7, 4))]
+    for args in calls:
+        assert bn_mod_exp(*args) == builtins.pow(*args)
     assert lib.calls["BN_MONT_CTX_set"] == 1
-    assert lib.calls["BN_bin2bn"] == 2 + 4  # exponent and modulus once, each base
+    assert lib.calls["BN_bin2bn"] == 1 + 2 * 4  # the modulus once, base and exponent each call
+
+
+@pytest.mark.parametrize("bits, odd, kernel", [
+    (crypto_mod._MONT_MAX_BITS, True, "BN_mod_exp_mont"),
+    (crypto_mod._MONT_MAX_BITS + 1, True, "BN_mod_exp"),
+    (crypto_mod._MONT_MAX_BITS, False, "BN_mod_exp"),
+    (1, True, "BN_mod_exp_mont"),
+])
+def test_bn_mod_exp_routes_by_modulus(bits, odd, kernel):
+    # An odd modulus up to _MONT_MAX_BITS gets the held context; a wider or
+    # an even one goes to BN_mod_exp, which has the one-word-base path.
+    lib, bn_mod_exp = _fake_kernel()
+    modulus = (1 << (bits - 1)) | odd
+    args = (3, _THRESHOLD + 1, modulus)
+    assert bn_mod_exp(*args) == builtins.pow(*args)
+    assert set(lib.calls) & {"BN_mod_exp", "BN_mod_exp_mont"} == {kernel}
 
 
 _P127, _P89 = (1 << 127) - 1, (1 << 89) - 1
-# Call sequences for the held (exponent, modulus): repeats, two alternating,
-# one modulus under a new exponent, and the edge operands.
+_WIDE = (1 << 1100) + 15  # odd, wider than _MONT_MAX_BITS
+# Call sequences for the held modulus: repeats, two alternating, one modulus
+# under new exponents, BN_mod_exp's moduli between calls on a held one, and
+# the edge operands.
 _HELD_SEQUENCES = {
     "repeat": [(b, _THRESHOLD + 1, _P521) for b in (2, 3, 5, 2)],
     "alternate": [(b, _THRESHOLD + m, m) for b in (2, 3, 5) for m in (_P127, _P89)],
     "new-exponent": [(3, _THRESHOLD + e, _P127) for e in (1, 2, 1, 1 << 200)],
+    "wide-or-even-between": [(3, _THRESHOLD, _P127), (3, _THRESHOLD, _WIDE),
+                             (5, _THRESHOLD, _P127), (3, _THRESHOLD, 1 << 300),
+                             (7, _THRESHOLD, _P127), (1 << 80, _THRESHOLD, _WIDE)],
     "base-0": [(0, _THRESHOLD, _P127), (3, _THRESHOLD, _P127), (0, _THRESHOLD, _P127)],
     "base-at-or-above-modulus": [(_P127, _THRESHOLD, _P127), (_P127 + 2, _THRESHOLD, _P127),
                                  ((1 << 700) + 9, _THRESHOLD, _P127)],
@@ -853,7 +898,7 @@ def test_held_state_is_safe_across_two_threads():
     right, wrong = [], []
 
     def work(modulus):
-        for i in range(200):
+        for i in range(1000):
             args = (i + 2, modulus - 2, modulus)
             (right if bn_mod_exp(*args) == builtins.pow(*args) else wrong).append(args)
 
@@ -868,7 +913,7 @@ def test_held_state_is_safe_across_two_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == [] and len(right) == 400  # a thread that raised checked fewer
+    assert wrong == [] and len(right) == 2000  # a thread that raised checked fewer
 
 
 _LAZY_LOAD_CHILD = """
