@@ -29,11 +29,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scripted scenario")
     run.add_argument("--mode", required=True, choices=MODES)
-    run.add_argument("--bits", type=int, default=512)
-    run.add_argument("--exponent", type=integer, default=65537)
+    run.add_argument("--bits", type=int, default=RunConfig.bits)
+    run.add_argument("--exponent", type=integer, default=RunConfig.exponent)
     run.add_argument("--seed", type=int, default=None,
                      help="falls back to the CEGD_SEED environment variable")
-    run.add_argument("--goods-size", type=int, default=64)
+    run.add_argument("--goods-size", type=int, default=RunConfig.goods_size)
     run.add_argument("--out", required=True)
     run.add_argument("--pretty", action="store_true",
                      help="print a human-readable summary")
@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("path")
 
     keygen = sub.add_parser("keygen", help="print a deterministic keypair record")
-    keygen.add_argument("--bits", type=int, default=512)
-    keygen.add_argument("--exponent", type=integer, default=65537)
+    keygen.add_argument("--bits", type=int, default=RunConfig.bits)
+    keygen.add_argument("--exponent", type=integer, default=RunConfig.exponent)
     keygen.add_argument("--seed", type=int, default=None)
 
     return parser
@@ -102,7 +102,7 @@ def _cmd_verify(args) -> int:
         problems = verify_report(rows)
         for _ in rows:  # the lines after a missing header must read too
             pass
-    # ValueError: bad JSON or UTF-8; RecursionError: JSON nested too deeply.
+    # ValueError: bad JSON or UTF-8, a repeated key; RecursionError: deep JSON.
     except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot read transcript: {exc}", file=sys.stderr)
         return 1

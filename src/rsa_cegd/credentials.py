@@ -6,7 +6,8 @@ encryption, and the seller's encrypted symmetric key. The arbiter issues
 the buyer a recovery certificate: a fresh RSA pair sharing the buyer's
 public exponent, whose private exponent is published in masked form so
 that only the arbiter can unmask it later. Neither certificate carries an
-owner identity, an expiry, or any link to a protocol run.
+owner identity, an expiry, or any link to a protocol run, and the issuers
+take no name either: the CA and the arbiter are their RSA key pairs.
 """
 
 from dataclasses import dataclass
@@ -51,13 +52,6 @@ class RecoverableCert:
     signature: int
 
 
-@dataclass(frozen=True)
-class Identity:
-    """A party, the CA or the arbiter: an id and its RSA key pair."""
-    party_id: str
-    keys: RsaKeyPair
-
-
 def hash_goods(goods: bytes) -> int:
     return hash_int("h_a", goods, HASH_BOUND)
 
@@ -71,7 +65,7 @@ def _cert_digest(description, ciphertext_hash, goods_hash, enc_key, modulus):
     return hash_int("cert", data, modulus)
 
 
-def issue_goods_cert(ca: Identity, goods: bytes, description: bytes,
+def issue_goods_cert(ca: RsaKeyPair, goods: bytes, description: bytes,
                      key: int, owner_pub: PublicKey) -> tuple[GoodsCertificate, bytes]:
     """Sign the binding between a goods payload, its encryption under
     `key`, and the key itself encrypted to the owner.
@@ -88,8 +82,8 @@ def issue_goods_cert(ca: Identity, goods: bytes, description: bytes,
     ct_hash = hash_ciphertext(ciphertext)
     g_hash = hash_goods(goods)
     enc_key = mod_pow(key, owner_pub.e, owner_pub.n)
-    digest = _cert_digest(description, ct_hash, g_hash, enc_key, ca.keys.n)
-    signature = rsa_sign(ca.keys, digest)
+    digest = _cert_digest(description, ct_hash, g_hash, enc_key, ca.n)
+    signature = rsa_sign(ca, digest)
     return GoodsCertificate(description, ct_hash, g_hash, enc_key, signature), ciphertext
 
 
@@ -123,7 +117,7 @@ def _exponent_mask(ttp_keys: RsaKeyPair, pub: PublicKey) -> int:
     return hash_int("d_bt-mask", data, pub.n)
 
 
-def issue_recoverable_cert(ttp: Identity, subject_exponent: int,
+def issue_recoverable_cert(ttp: RsaKeyPair, subject_exponent: int,
                            bits: int, seed: int) -> tuple[RecoverableCert, RsaKeyPair]:
     """Mint a recovery keypair sharing the subject's public exponent and
     certify (public key, masked private exponent) under the arbiter key.
@@ -135,12 +129,12 @@ def issue_recoverable_cert(ttp: Identity, subject_exponent: int,
     """
     for attempt in range(64):
         pair = rsa_keygen_with_exponent(bits, subject_exponent, seed + attempt)
-        mask = _exponent_mask(ttp.keys, pair.public)
+        mask = _exponent_mask(ttp, pair.public)
         if gcd(mask, pair.n) != 1:
             continue
         masked = (mod_inv(mask, pair.n) * pair.d) % pair.n
-        digest = _recovery_cert_digest(pair.public, masked, ttp.keys.n)
-        return RecoverableCert(pair.public, masked, rsa_sign(ttp.keys, digest)), pair
+        digest = _recovery_cert_digest(pair.public, masked, ttp.n)
+        return RecoverableCert(pair.public, masked, rsa_sign(ttp, digest)), pair
     raise InvalidKey("could not find a keypair with an invertible mask")
 
 
@@ -149,9 +143,9 @@ def verify_recoverable_cert(cert: RecoverableCert, ttp_pub: PublicKey) -> bool:
     return rsa_verify(ttp_pub, cert.signature, digest)
 
 
-def recover_private_exponent(ttp: Identity, cert: RecoverableCert) -> int:
+def recover_private_exponent(ttp: RsaKeyPair, cert: RecoverableCert) -> int:
     """Arbiter-side unmasking of the certified private exponent."""
-    if not verify_recoverable_cert(cert, ttp.keys.public):
+    if not verify_recoverable_cert(cert, ttp.public):
         raise InvalidCert("recovery certificate does not verify under this arbiter")
-    mask = _exponent_mask(ttp.keys, cert.pub)
+    mask = _exponent_mask(ttp, cert.pub)
     return (mask * cert.masked_exponent) % cert.pub.n

@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import transcript
-from .credentials import Identity, RecoverableCert, hash_goods, issue_recoverable_cert
+from .credentials import RecoverableCert, hash_goods, issue_recoverable_cert
 from .crypto import (
     PublicKey,
     RsaKeyPair,
@@ -160,9 +160,9 @@ class FairnessVerdict:
 @dataclass
 class World:
     config: RunConfig
-    ca: Identity
-    arbiter: Identity
-    keyrings: dict[str, Identity]
+    ca: RsaKeyPair
+    arbiter: RsaKeyPair
+    keyrings: dict[str, RsaKeyPair]
     registry: dict[str, PublicKey]
     buyer_recovery: tuple[RecoverableCert, RsaKeyPair]
     ledgers: dict[str, EvidenceLedger]
@@ -187,9 +187,8 @@ class World:
             "parties": sorted(self.ledgers),
             "registry": {party: transcript.key_fields(pub)
                          for party, pub in sorted(self.registry.items())},
-            "ca": {"id": self.ca.party_id, **transcript.key_fields(self.ca.keys.public)},
-            "arbiter": {"id": self.arbiter.party_id,
-                        **transcript.key_fields(self.arbiter.keys.public)},
+            "ca": {"id": CERT_AUTHORITY, **transcript.key_fields(self.ca.public)},
+            "arbiter": {"id": ARBITER, **transcript.key_fields(self.arbiter.public)},
         }
 
 
@@ -220,13 +219,13 @@ def build_world(config: RunConfig) -> World:
         return rsa_keygen_with_exponent(config.bits, config.exponent,
                                         derive_seed(seed, label))
 
-    ca = Identity(CERT_AUTHORITY, keypair("ca"))
-    arbiter = Identity(ARBITER, keypair("arbiter"))
+    ca = keypair("ca")
+    arbiter = keypair("arbiter")
     party_ids = PARTIES[config.mode]
-    keyrings = {pid: Identity(pid, keypair(f"party-{pid}")) for pid in party_ids}
-    registry = {pid: ring.keys.public for pid, ring in keyrings.items()}
+    keyrings = {pid: keypair(f"party-{pid}") for pid in party_ids}
+    registry = {pid: keys.public for pid, keys in keyrings.items()}
     buyer_cert, buyer_recovery = issue_recoverable_cert(
-        arbiter, keyrings[BUYER].keys.e, config.bits, derive_seed(seed, "recovery-buyer"))
+        arbiter, keyrings[BUYER].e, config.bits, derive_seed(seed, "recovery-buyer"))
     return World(
         config=config,
         ca=ca,
@@ -250,10 +249,9 @@ def make_sessions(world: World, session: int) -> tuple[SenderSession, ReceiverSe
     sender_rng = random.Random(derive_seed(config.seed, f"session-{session}-sender"))
     receiver_rng = random.Random(derive_seed(config.seed, f"session-{session}-receiver"))
     cert, recovery_keys = world.buyer_recovery
-    sender = SenderSession(world.keyrings[SELLER], BUYER, world.ca,
-                           world.arbiter.keys.public, world.registry[BUYER],
-                           world.ledgers[SELLER], sender_rng)
-    receiver = ReceiverSession(world.keyrings[BUYER], SELLER, world.ca.keys.public,
+    sender = SenderSession(world.keyrings[SELLER], world.ca, world.arbiter.public,
+                           world.registry[BUYER], world.ledgers[SELLER], sender_rng)
+    receiver = ReceiverSession(world.keyrings[BUYER], world.ca.public,
                                world.registry[SELLER], cert, recovery_keys,
                                world.ledgers[BUYER], receiver_rng)
     return sender, receiver
@@ -518,7 +516,7 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
         problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):
         problems.append("header: parties do not match the registry")
-    # The ids build_world writes; R1..R3 are routed by their body types' ROUTE,
+    # The ids World.header writes; R1..R3 are routed by their body types' ROUTE,
     # not by the header.
     for name, principal_id in (("ca", CERT_AUTHORITY), ("arbiter", ARBITER)):
         if header[name].get("id") != principal_id:
@@ -563,13 +561,13 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
     elif step == "E2":
         offer, sender_enc_randomizer = logged[sid, "E1"]
         check_encrypted_receipt(body, offer.cert.goods_hash, registry[sender],
-                                arbiter_pub, sender_enc_randomizer, recipient)
+                                arbiter_pub, sender_enc_randomizer)
     elif step == "E3":
         open_goods(logged[sid, "E1"][0], body.randomizer, registry[sender])
     elif step == "E4":
         offer = logged[sid, "E1"][0]
         open_receipt(logged[sid, "E2"][0], body.randomizer, registry[sender],
-                     offer.cert.goods_hash, sender)
+                     offer.cert.goods_hash)
     elif step == "R1":
         check_recovery_request(body, sender, arbiter_pub, registry)
     else:

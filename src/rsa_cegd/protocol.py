@@ -3,7 +3,9 @@
 The seven message body types below are the step table: each carries its
 transcript tag (STEP: E1..E4 for the exchange, R1..R3 for recovery) and its
 route (ROUTE: sender, recipient), which is written nowhere else. A route is
-unsigned metadata: it travels beside a body's fields, not among them.
+unsigned metadata: it travels beside a body's fields, not among them. The
+parties are the roles SELLER, BUYER and ARBITER, so no session or step check
+takes a party name, except R1's requester: whoever presents the request.
 
 Protocol asymmetries are preserved exactly because the attack scripts in
 the harness depend on them:
@@ -35,7 +37,6 @@ from functools import wraps
 
 from .credentials import (
     GoodsCertificate,
-    Identity,
     RecoverableCert,
     check_goods_cert,
     hash_goods,
@@ -172,14 +173,14 @@ def check_offer(offer: GoodsOffer, ca_pub: PublicKey, sender_pub: PublicKey) -> 
 
 def check_encrypted_receipt(msg: EncryptedReceipt, goods_hash: int,
                             signer_pub: PublicKey, arbiter_pub: PublicKey,
-                            sender_enc_randomizer: int, sender_id: str) -> None:
-    """E2: the recovery certificate, the token and the triple's congruences."""
+                            sender_enc_randomizer: int) -> None:
+    """E2: the recovery certificate, the token (naming the seller), the triple."""
     if not verify_recoverable_cert(msg.recovery_cert, arbiter_pub):
         raise Reject("bad-recovery-cert")
     if msg.recovery_cert.pub.e != signer_pub.e:
         raise Reject("exponent-mismatch")
     if not verify_auth_token(msg.auth_token, signer_pub, msg.recovery_cert,
-                             msg.vres.enc_randomizer, sender_enc_randomizer, sender_id):
+                             msg.vres.enc_randomizer, sender_enc_randomizer, SELLER):
         raise Reject("bad-token")
     if not verify_vres(msg.vres, goods_hash, signer_pub, msg.recovery_cert.pub):
         raise Reject("bad-vres")
@@ -202,15 +203,15 @@ def open_goods(offer: GoodsOffer, randomizer: int, sender_pub: PublicKey) -> byt
 
 
 def open_receipt(msg: EncryptedReceipt, randomizer: int, signer_pub: PublicKey,
-                 goods_hash: int, signer: str) -> Signature:
-    """E4 and R2: open the triple with the randomizer; returns the receipt."""
+                 goods_hash: int) -> Signature:
+    """E4 and R2: open the triple with the randomizer; returns the buyer's receipt."""
     combined = signer_pub.n * msg.recovery_cert.pub.n
     if (randomizer >= combined
             or mod_pow(randomizer, signer_pub.e, combined) != msg.vres.enc_randomizer):
         raise Reject("bad-rb")
     try:
         return recover_receipt(msg.vres.blinded_receipt, randomizer, signer_pub,
-                               goods_hash, signer)
+                               goods_hash, BUYER)
     except (RecoveryMismatch, NotInvertible):
         raise Reject("bad-rb")
 
@@ -282,11 +283,9 @@ def _handler(*phases):
 class SenderSession:
     """Seller side of one exchange session."""
 
-    def __init__(self, keyring: Identity, counterparty: str, ca: Identity,
-                 arbiter_pub: PublicKey, counter_pub: PublicKey,
-                 ledger: EvidenceLedger, rng: random.Random):
-        self.keyring = keyring
-        self.counterparty = counterparty
+    def __init__(self, keys: RsaKeyPair, ca: RsaKeyPair, arbiter_pub: PublicKey,
+                 counter_pub: PublicKey, ledger: EvidenceLedger, rng: random.Random):
+        self.keys = keys
         self.ca = ca
         self.arbiter_pub = arbiter_pub
         self.counter_pub = counter_pub
@@ -301,11 +300,10 @@ class SenderSession:
 
     @_handler(SenderPhase.INIT)
     def start(self, goods: bytes, description: bytes) -> GoodsOffer | None:
-        keys = self.keyring.keys
-        key = random_unit(self.rng, keys.n)
-        randomizer = random_prime_below(self.rng, keys.n, coprime_to=(keys.n,))
-        cert, ciphertext = issue_goods_cert(self.ca, goods, description, key, keys.public)
-        wrapped = wrap_key(key, randomizer, keys)
+        key = random_unit(self.rng, self.keys.n)
+        randomizer = random_prime_below(self.rng, self.keys.n, coprime_to=(self.keys.n,))
+        cert, ciphertext = issue_goods_cert(self.ca, goods, description, key, self.keys.public)
+        wrapped = wrap_key(key, randomizer, self.keys)
         self.goods_hash = cert.goods_hash
         self.randomizer = randomizer
         self.enc_randomizer = wrapped.enc_randomizer
@@ -314,7 +312,7 @@ class SenderSession:
             ciphertext=ciphertext,
             cert=cert,
             blinded_key=wrapped.blinded_key,
-            origin_proof=rsa_sign(keys, cert.goods_hash),
+            origin_proof=rsa_sign(self.keys, cert.goods_hash),
         )
 
     @_handler(SenderPhase.SENT_OFFER)
@@ -324,7 +322,7 @@ class SenderSession:
         verified recovery material and go quiet (the adversarial option —
         nothing on the wire distinguishes it from a lost message)."""
         check_encrypted_receipt(msg, self.goods_hash, self.counter_pub, self.arbiter_pub,
-                                self.enc_randomizer, self.keyring.party_id)
+                                self.enc_randomizer)
         self.enc_receipt = msg
         if abort:
             self.phase = SenderPhase.DANGLING
@@ -334,7 +332,7 @@ class SenderSession:
 
     def _accept_receipt_randomizer(self, randomizer: int) -> None:
         receipt = open_receipt(self.enc_receipt, randomizer, self.counter_pub,
-                               self.goods_hash, self.counterparty)
+                               self.goods_hash)
         self.ledger.credit_receipt(receipt)
         self.phase = SenderPhase.DONE
 
@@ -360,19 +358,17 @@ class SenderSession:
             auth_token=self.enc_receipt.auth_token,
             sender_enc_randomizer=self.enc_randomizer,
             sender_randomizer=self.randomizer,
-            counterparty=self.counterparty,
+            counterparty=BUYER,
         )
 
 
 class ReceiverSession:
     """Buyer side of one exchange session."""
 
-    def __init__(self, keyring: Identity, counterparty: str, ca_pub: PublicKey,
-                 counter_pub: PublicKey, recovery_cert: RecoverableCert,
-                 recovery_keys: RsaKeyPair, ledger: EvidenceLedger,
-                 rng: random.Random):
-        self.keyring = keyring
-        self.counterparty = counterparty
+    def __init__(self, keys: RsaKeyPair, ca_pub: PublicKey, counter_pub: PublicKey,
+                 recovery_cert: RecoverableCert, recovery_keys: RsaKeyPair,
+                 ledger: EvidenceLedger, rng: random.Random):
+        self.keys = keys
         self.ca_pub = ca_pub
         self.counter_pub = counter_pub
         self.recovery_cert = recovery_cert
@@ -386,14 +382,13 @@ class ReceiverSession:
     @_handler(ReceiverPhase.INIT)
     def on_goods_offer(self, msg: GoodsOffer) -> EncryptedReceipt | None:
         sender_enc_randomizer = check_offer(msg, self.ca_pub, self.counter_pub)
-        keys = self.keyring.keys
-        bound = min(keys.n, self.recovery_keys.n)
+        bound = min(self.keys.n, self.recovery_keys.n)
         randomizer = random_prime_below(self.rng, bound,
-                                        coprime_to=(keys.n, self.recovery_keys.n))
-        triple = generate_vres(msg.cert.goods_hash, keys, self.recovery_keys,
+                                        coprime_to=(self.keys.n, self.recovery_keys.n))
+        triple = generate_vres(msg.cert.goods_hash, self.keys, self.recovery_keys,
                                randomizer)
-        token = make_auth_token(keys, self.recovery_cert, triple.enc_randomizer,
-                                sender_enc_randomizer, self.counterparty)
+        token = make_auth_token(self.keys, self.recovery_cert, triple.enc_randomizer,
+                                sender_enc_randomizer, SELLER)
         self.offer = msg
         self.randomizer = randomizer
         self.phase = ReceiverPhase.SENT_RECEIPT
@@ -404,7 +399,7 @@ class ReceiverSession:
         proof enter the ledger."""
         payload = open_goods(self.offer, randomizer, self.counter_pub)
         self.ledger.credit_goods(payload, Signature(
-            self.offer.origin_proof, self.offer.cert.goods_hash, self.counterparty))
+            self.offer.origin_proof, self.offer.cert.goods_hash, SELLER))
         self.phase = ReceiverPhase.DONE
 
     @_handler(ReceiverPhase.SENT_RECEIPT)
@@ -425,15 +420,14 @@ class ArbiterService:
     request is judged on internal consistency alone, so a tuple retained
     from one run passes identically when presented during another."""
 
-    def __init__(self, identity: Identity, registry: dict[str, PublicKey]):
-        self.identity = identity
+    def __init__(self, keys: RsaKeyPair, registry: dict[str, PublicKey]):
+        self.keys = keys
         self.registry = registry
 
     def on_recovery_request(self, msg: RecoveryRequest, requester: str
                             ) -> tuple[RecoveredReceiptKey, RecoveredGoodsKey]:
-        check_recovery_request(msg, requester, self.identity.keys.public,
-                               self.registry)
-        recovery_exp = recover_private_exponent(self.identity, msg.recovery_cert)
+        check_recovery_request(msg, requester, self.keys.public, self.registry)
+        recovery_exp = recover_private_exponent(self.keys, msg.recovery_cert)
         randomizer = recover_randomizer(msg.enc_randomizer, recovery_exp,
                                         msg.recovery_cert.pub.n)
         # Both answers or neither: the receipt key to the requester, the

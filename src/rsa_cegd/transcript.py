@@ -280,12 +280,24 @@ def write_report_lines(rows: Iterable[dict], path) -> None:
             handle.write("\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's dict. json.loads keeps a repeated key's last value while a
+    text tool such as grep sees its first, so a repeat is refused."""
+    row = dict(pairs)
+    if len(row) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return row
+
+
 def load_report(path) -> Iterator[dict]:
     """The rows of a report file, each line read and parsed as the caller
     asks for the next row; blank lines are skipped. A line that cannot be
-    read raises OSError, ValueError (not UTF-8, not JSON) or RecursionError
-    (JSON nested too deeply) when its row is asked for."""
+    read raises OSError, ValueError (not UTF-8, not JSON, an object with a
+    repeated key) or RecursionError (JSON nested too deeply) when its row is
+    asked for."""
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     with open(path, "r", encoding="utf-8") as handle:
         # map keeps no line once it is parsed; isspace, unlike strip, copies
         # nothing.
-        yield from map(json.loads, filterfalse(str.isspace, handle))
+        yield from map(decode, filterfalse(str.isspace, handle))

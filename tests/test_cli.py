@@ -187,6 +187,26 @@ def test_verify_late_read_error_fails(tmp_path, capsys, head, tail):
     assert err.startswith("cannot read transcript: ")
 
 
+@pytest.mark.parametrize("genuine, repeated, key", [
+    ('"verdict":"UNFAIR_FOR_B"', '"verdict":"FAIR","verdict":"UNFAIR_FOR_B"', "verdict"),
+    ('"step":"R3","session":2,"sender":"arbiter","recipient":"buyer","fields":{',
+     '"step":"R3","session":2,"sender":"arbiter","recipient":"buyer","fields":{'
+     '"randomizer":"1",', "randomizer"),
+], ids=["verdict", "r3-randomizer"])
+def test_verify_repeated_key_fails(tmp_path, capsys, genuine, repeated, key):
+    # json.loads keeps a repeated key's last value, which here is the genuine
+    # one, so the transcript would verify while grep reads the first.
+    path = tmp_path / "repeated.jsonl"
+    text = _genuine(path).decode()
+    assert text.count(genuine) == 1
+    path.write_text(text.replace(genuine, repeated))
+    capsys.readouterr()
+    assert main(["verify-transcript", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cannot read transcript: repeated key {key!r}\n"
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN_LARGE_GOODS))
 def test_run_writes_golden_bytes(tmp_path, capsys, key):
     # The golden digests hash to_lines(); the run command writes the file

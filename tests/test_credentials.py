@@ -6,7 +6,6 @@ import pytest
 
 from rsa_cegd.credentials import (
     GoodsCertificate,
-    Identity,
     InvalidCert,
     InvalidKey,
     hash_ciphertext,
@@ -19,7 +18,7 @@ from rsa_cegd.credentials import (
 )
 from rsa_cegd.crypto import keypair_from_primes, mod_pow, rsa_keygen_with_exponent, sym_encrypt
 
-TOY_CA = Identity("cert-authority", keypair_from_primes(5, 23, 3))
+TOY_CA = keypair_from_primes(5, 23, 3)
 TOY_OWNER = keypair_from_primes(3, 11, 3)  # n=33, d=7
 GOODS = b"a small electronic good"
 DESCRIPTION = b"toy goods"
@@ -48,37 +47,37 @@ def test_issue_rejects_bad_key():
 
 def test_verify_fresh_cert():
     cert = toy_cert()
-    assert verify_goods_cert(cert, sym_encrypt(5, GOODS), TOY_CA.keys.public)
+    assert verify_goods_cert(cert, sym_encrypt(5, GOODS), TOY_CA.public)
 
 
 def test_verify_detects_description_flip():
     cert = toy_cert()
     mutated = GoodsCertificate(b"x" + cert.description[1:], cert.ciphertext_hash,
                                cert.goods_hash, cert.enc_key, cert.signature)
-    assert not verify_goods_cert(mutated, sym_encrypt(5, GOODS), TOY_CA.keys.public)
+    assert not verify_goods_cert(mutated, sym_encrypt(5, GOODS), TOY_CA.public)
 
 
 def test_verify_detects_truncated_ciphertext():
     cert = toy_cert()
     ciphertext = sym_encrypt(5, GOODS)
-    assert not verify_goods_cert(cert, ciphertext[:-1], TOY_CA.keys.public)
+    assert not verify_goods_cert(cert, ciphertext[:-1], TOY_CA.public)
 
 
 def test_verify_detects_wrong_ca():
     cert = toy_cert()
-    other_ca = Identity("cert-authority", keypair_from_primes(5, 29, 3))
-    assert not verify_goods_cert(cert, sym_encrypt(5, GOODS), other_ca.keys.public)
+    other_ca = keypair_from_primes(5, 29, 3)
+    assert not verify_goods_cert(cert, sym_encrypt(5, GOODS), other_ca.public)
 
 
 def arbiter(bits=128, seed=1):
-    return Identity("arbiter", rsa_keygen_with_exponent(bits, 65537, seed))
+    return rsa_keygen_with_exponent(bits, 65537, seed)
 
 
 def test_recoverable_issue_verify_recover():
     ttp = arbiter()
     cert, pair = issue_recoverable_cert(ttp, 65537, 128, seed=9)
     assert cert.pub.e == 65537
-    assert verify_recoverable_cert(cert, ttp.keys.public)
+    assert verify_recoverable_cert(cert, ttp.public)
     assert recover_private_exponent(ttp, cert) == pair.d
 
 
@@ -86,14 +85,14 @@ def test_recoverable_detects_masked_exponent_change():
     ttp = arbiter()
     cert, _ = issue_recoverable_cert(ttp, 65537, 128, seed=9)
     mutated = type(cert)(cert.pub, cert.masked_exponent + 1, cert.signature)
-    assert not verify_recoverable_cert(mutated, ttp.keys.public)
+    assert not verify_recoverable_cert(mutated, ttp.public)
 
 
 def test_recoverable_detects_random_signature():
     ttp = arbiter()
     cert, _ = issue_recoverable_cert(ttp, 65537, 128, seed=9)
     mutated = type(cert)(cert.pub, cert.masked_exponent, 123456789)
-    assert not verify_recoverable_cert(mutated, ttp.keys.public)
+    assert not verify_recoverable_cert(mutated, ttp.public)
 
 
 def test_recover_rejects_foreign_arbiter():

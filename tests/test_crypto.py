@@ -299,6 +299,13 @@ def test_encode_fields_unambiguous():
     assert encode_fields("x") != encode_fields(b"x", b"")
 
 
+@pytest.mark.parametrize("part", [None, 1.5])
+def test_encode_fields_rejects_unsupported_part(part):
+    # After a part that encodes, so a missing check would reuse its bytes.
+    with pytest.raises(TypeError, match="cannot encode field of type"):
+        encode_fields(b"x", part)
+
+
 def test_is_probable_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
     for n in range(40):

@@ -49,7 +49,7 @@ def run_exchange(world, number=1):
 def test_start_emits_verifying_offer(toy_world):
     sender, _, goods, description = start_session(toy_world)
     offer = sender.start(goods, description)
-    assert verify_goods_cert(offer.cert, offer.ciphertext, toy_world.ca.keys.public)
+    assert verify_goods_cert(offer.cert, offer.ciphertext, toy_world.ca.public)
     assert sender.phase is SenderPhase.SENT_OFFER
 
 
@@ -86,7 +86,7 @@ def test_offer_accepted_and_receipt_verifies(toy_world):
 def test_offer_with_foreign_origin_proof_rejected(toy_world):
     sender, receiver, goods, description = start_session(toy_world)
     offer = sender.start(goods, description)
-    seller_keys = toy_world.keyrings[SELLER].keys
+    seller_keys = toy_world.keyrings[SELLER]
     mangled = GoodsOffer(offer.ciphertext, offer.cert, offer.blinded_key,
                          rsa_sign(seller_keys, offer.cert.goods_hash + 1))
     with pytest.raises(Reject) as err:
@@ -125,7 +125,7 @@ def test_wrong_goods_vres_aborts_sender(toy_world):
     enc_receipt = receiver.on_goods_offer(offer)
     # Rebuild the triple over a different goods hash, with a token that
     # still verifies, so the failure is attributed to the triple itself.
-    buyer_keys = toy_world.keyrings[BUYER].keys
+    buyer_keys = toy_world.keyrings[BUYER]
     cert, recovery_keys = toy_world.buyer_recovery
     triple = generate_vres(offer.cert.goods_hash + 1, buyer_keys, recovery_keys,
                            receiver.randomizer)

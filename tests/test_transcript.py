@@ -802,9 +802,9 @@ def _recovery_cert_exponent(step):
         cert = _node(rows, (("step", step), "fields", "recovery_cert"))
         pub = PublicKey(3, hex_to_int(cert["n"]))
         digest = _recovery_cert_digest(pub, hex_to_int(cert["masked_exponent"]),
-                                       world.arbiter.keys.n)
+                                       world.arbiter.n)
         cert["e"] = int_to_hex(pub.e)
-        cert["signature"] = int_to_hex(rsa_sign(world.arbiter.keys, digest))
+        cert["signature"] = int_to_hex(rsa_sign(world.arbiter, digest))
     return apply
 
 
@@ -814,7 +814,7 @@ def _seller_as_counterparty(rows, world):
     fields = _node(rows, (_R1, "fields"))
     fields["counterparty"] = SELLER
     body = BODIES["R1"][1](fields)
-    token = make_auth_token(world.keyrings[SELLER].keys, body.recovery_cert,
+    token = make_auth_token(world.keyrings[SELLER], body.recovery_cert,
                             body.enc_randomizer, body.sender_enc_randomizer, SELLER)
     fields["auth_token"] = int_to_hex(token)
 
@@ -838,17 +838,17 @@ def _enc_key_sharing_a_factor(rows, world):
     # The goods certificate, re-signed by the CA, encrypts a key k^e that
     # shares the seller's prime p, so it has no inverse mod n.
     cert = _node(rows, (_E1, "fields", "cert"))
-    enc_key = world.keyrings[SELLER].keys.p
+    enc_key = world.keyrings[SELLER].p
     digest = _cert_digest(bytes.fromhex(cert["description"]),
                           hex_to_int(cert["ciphertext_hash"]),
-                          hex_to_int(cert["goods_hash"]), enc_key, world.ca.keys.n)
+                          hex_to_int(cert["goods_hash"]), enc_key, world.ca.n)
     cert["enc_key"] = int_to_hex(enc_key)
-    cert["signature"] = int_to_hex(rsa_sign(world.ca.keys, digest))
+    cert["signature"] = int_to_hex(rsa_sign(world.ca, digest))
 
 
 def _e3_randomizer_without_inverse(rows, world):
     _node(rows, (("step", "E3"), "fields"))["randomizer"] = int_to_hex(
-        world.keyrings[SELLER].keys.p)
+        world.keyrings[SELLER].p)
 
 
 def _goods_hash_plus_one(rows, world):
@@ -860,10 +860,10 @@ def _goods_hash_plus_one(rows, world):
     goods_hash = hex_to_int(cert["goods_hash"]) + 1
     digest = _cert_digest(bytes.fromhex(cert["description"]),
                           hex_to_int(cert["ciphertext_hash"]), goods_hash,
-                          hex_to_int(cert["enc_key"]), world.ca.keys.n)
+                          hex_to_int(cert["enc_key"]), world.ca.n)
     cert["goods_hash"] = int_to_hex(goods_hash)
-    cert["signature"] = int_to_hex(rsa_sign(world.ca.keys, digest))
-    fields["origin_proof"] = int_to_hex(rsa_sign(world.keyrings[SELLER].keys, goods_hash))
+    cert["signature"] = int_to_hex(rsa_sign(world.ca, digest))
+    fields["origin_proof"] = int_to_hex(rsa_sign(world.keyrings[SELLER], goods_hash))
 
 
 def _e4_randomizer_plus_buyer_modulus(rows, world):
@@ -871,17 +871,17 @@ def _e4_randomizer_plus_buyer_modulus(rows, world):
     # mod n', so it does not encrypt to E2's enc_randomizer.
     fields = _node(rows, (("step", "E4"), "fields"))
     fields["randomizer"] = int_to_hex(
-        hex_to_int(fields["randomizer"]) + world.keyrings[BUYER].keys.n)
+        hex_to_int(fields["randomizer"]) + world.keyrings[BUYER].n)
 
 
 def _e4_randomizer_without_inverse(rows, world):
     # A triple built by hand on the buyer's prime p, which generate_vres
     # refuses: it passes check_vres, and p has no inverse mod n.
-    buyer, recovery = world.keyrings[BUYER].keys, world.buyer_recovery[1]
+    buyer, recovery = world.keyrings[BUYER], world.buyer_recovery[1]
     randomizer = buyer.p
     enc_randomizer = mod_pow(randomizer, buyer.e, buyer.n * recovery.n)
     offer = BODIES["E1"][1](_node(rows, (_E1, "fields")))
-    sender_enc_randomizer = check_offer(offer, world.ca.keys.public, world.registry[SELLER])
+    sender_enc_randomizer = check_offer(offer, world.ca.public, world.registry[SELLER])
     fields = _node(rows, (_E2, "fields"))
     fields["enc_randomizer"] = int_to_hex(enc_randomizer)
     fields["blinded_receipt"] = int_to_hex(
@@ -1019,11 +1019,11 @@ def test_unknown_requester_is_pinned():
     # buyer's token names the requester, so it is signed anew for it.
     world = build_world(_config("replay"))
     request = BODIES["R1"][1](_node(_rows("replay"), (_R1, "fields")))
-    token = make_auth_token(world.keyrings[BUYER].keys, request.recovery_cert,
+    token = make_auth_token(world.keyrings[BUYER], request.recovery_cert,
                             request.enc_randomizer, request.sender_enc_randomizer, "nobody")
     with pytest.raises(Reject) as err:
         check_recovery_request(dataclasses.replace(request, auth_token=token), "nobody",
-                               world.arbiter.keys.public, world.registry)
+                               world.arbiter.public, world.registry)
     assert err.value.reason == "unknown-requester"
 
 
