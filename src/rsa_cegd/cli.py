@@ -2,13 +2,14 @@
 
 Machine-first output (JSON lines on disk, one summary line on stdout);
 --pretty adds a human-readable digest. Exit codes: 0 success, 1 failed
-verification, 2 usage error.
+verification or unwritable report, 2 usage error.
 """
 
 import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .crypto import GenerationFailure, int_to_hex, rsa_keygen_with_exponent
 from .harness import MODES, RunConfig, run_mode, verify_report
@@ -121,15 +122,8 @@ def _cmd_keygen(parser, args) -> int:
         pair = rsa_keygen_with_exponent(args.bits, args.exponent, seed)
     except (ValueError, GenerationFailure) as exc:
         parser.error(str(exc))
-    print(json.dumps({
-        "bits": args.bits,
-        "seed": seed,
-        "n": int_to_hex(pair.n),
-        "e": int_to_hex(pair.e),
-        "d": int_to_hex(pair.d),
-        "p": int_to_hex(pair.p),
-        "q": int_to_hex(pair.q),
-    }, separators=(",", ":")))
+    fields = {name: int_to_hex(value) for name, value in asdict(pair).items()}
+    print(json.dumps({"bits": args.bits, "seed": seed, **fields}, separators=(",", ":")))
     return 0
 
 

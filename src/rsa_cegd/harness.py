@@ -29,7 +29,7 @@ it is a harness bug, not a finding.
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import transcript
 from .credentials import RecoverableCert, hash_goods, issue_recoverable_cert
@@ -163,27 +163,29 @@ class World:
     ca: RsaKeyPair
     arbiter: RsaKeyPair
     keyrings: dict[str, RsaKeyPair]
-    registry: dict[str, PublicKey]
     buyer_recovery: tuple[RecoverableCert, RsaKeyPair]
     ledgers: dict[str, EvidenceLedger]
     records: list = field(default_factory=list)
 
-    def log_message(self, body, session: int) -> None:
+    @property
+    def registry(self) -> dict[str, PublicKey]:
+        """Each party's public key."""
+        return {party: keys.public for party, keys in self.keyrings.items()}
+
+    def deliver(self, body, session: int, handler, *args, **kwargs):
+        """Log `body` as sent in `session`, then return `handler(body, ...)`."""
         self.records.append(transcript.message_record(body, session))
+        return handler(body, *args, **kwargs)
 
     def log_milestone(self, label: str, session: int) -> None:
         self.records.append(transcript.milestone_record(label, session))
 
     def header(self) -> dict:
-        cfg = self.config
         return {
             "type": "header",
             "format": 1,
-            "mode": cfg.mode,
-            "bits": cfg.bits,
-            "exponent": int_to_hex(cfg.exponent),
-            "seed": cfg.seed,
-            "goods_size": cfg.goods_size,
+            **asdict(self.config),
+            "exponent": int_to_hex(self.config.exponent),  # in asdict's place
             "parties": sorted(self.ledgers),
             "registry": {party: transcript.key_fields(pub)
                          for party, pub in sorted(self.registry.items())},
@@ -223,7 +225,6 @@ def build_world(config: RunConfig) -> World:
     arbiter = keypair("arbiter")
     party_ids = PARTIES[config.mode]
     keyrings = {pid: keypair(f"party-{pid}") for pid in party_ids}
-    registry = {pid: keys.public for pid, keys in keyrings.items()}
     buyer_cert, buyer_recovery = issue_recoverable_cert(
         arbiter, keyrings[BUYER].e, config.bits, derive_seed(seed, "recovery-buyer"))
     return World(
@@ -231,7 +232,6 @@ def build_world(config: RunConfig) -> World:
         ca=ca,
         arbiter=arbiter,
         keyrings=keyrings,
-        registry=registry,
         buyer_recovery=(buyer_cert, buyer_recovery),
         ledgers={pid: EvidenceLedger() for pid in party_ids},
     )
@@ -250,9 +250,9 @@ def make_sessions(world: World, session: int) -> tuple[SenderSession, ReceiverSe
     receiver_rng = random.Random(derive_seed(config.seed, f"session-{session}-receiver"))
     cert, recovery_keys = world.buyer_recovery
     sender = SenderSession(world.keyrings[SELLER], world.ca, world.arbiter.public,
-                           world.registry[BUYER], world.ledgers[SELLER], sender_rng)
+                           world.keyrings[BUYER].public, world.ledgers[SELLER], sender_rng)
     receiver = ReceiverSession(world.keyrings[BUYER], world.ca.public,
-                               world.registry[SELLER], cert, recovery_keys,
+                               world.keyrings[SELLER].public, cert, recovery_keys,
                                world.ledgers[BUYER], receiver_rng)
     return sender, receiver
 
@@ -301,18 +301,13 @@ def _exchange(world: World, session: int, abort: bool = False) -> tuple:
     """Logged E1, E2, then the seller's abort or E3, E4 -> (sender, receiver, offer)."""
     sender, receiver = make_sessions(world, session)
     offer = sender.start(*session_goods(world.config, session))
-    world.log_message(offer, session)
-    enc_receipt = receiver.on_goods_offer(offer)
-    world.log_message(enc_receipt, session)
+    enc_receipt = world.deliver(offer, session, receiver.on_goods_offer)
+    key_release = world.deliver(enc_receipt, session, sender.on_encrypted_receipt, abort=abort)
     if abort:
-        sender.on_encrypted_receipt(enc_receipt, abort=True)
         world.log_milestone("abort-after-E2", session)
         return sender, receiver, offer
-    key_release = sender.on_encrypted_receipt(enc_receipt)
-    world.log_message(key_release, session)
-    receipt_release = receiver.on_key_release(key_release)
-    world.log_message(receipt_release, session)
-    sender.on_receipt_release(receipt_release)
+    receipt_release = world.deliver(key_release, session, receiver.on_key_release)
+    world.deliver(receipt_release, session, sender.on_receipt_release)
     world.log_milestone("exchange-completed", session)
     return sender, receiver, offer
 
@@ -340,22 +335,20 @@ def run_replay_attack(config: RunConfig) -> AttackReport:
     _, receiver2, _ = _exchange(world, 2, abort=True)
 
     # Recovery invoked during session 2 with session 1's tuple.
-    world.log_message(stale_request, 2)
-    receipt_key, goods_key = arbiter.on_recovery_request(stale_request, SELLER)
+    receipt_key, goods_key = world.deliver(stale_request, 2, arbiter.on_recovery_request,
+                                           SELLER)
     world.log_milestone("stale-R1-accepted", 2)
-    world.log_message(receipt_key, 2)
-    sender1.on_recovered_randomizer(receipt_key)
+    world.deliver(receipt_key, 2, sender1.on_recovered_randomizer)
     world.log_milestone("stale-receipt-recovered", 2)
 
-    world.log_message(goods_key, 2)
     try:
-        receiver2.on_recovered_randomizer(goods_key)
+        world.deliver(goods_key, 2, receiver2.on_recovered_randomizer)
     except Reject:
         world.log_milestone("stale-key-rejected", 2)
 
     # Side observation, checked outside the buyer's behavior: the delivered
     # randomizer does open session 1's ciphertext if anyone tried.
-    open_goods(offer1, goods_key.randomizer, world.registry[SELLER])
+    open_goods(offer1, goods_key.randomizer, world.keyrings[SELLER].public)
     world.log_milestone("stale-key-opens-prior-session", 2)
     return _report(world, UNFAIR_FOR_B)
 
@@ -390,14 +383,14 @@ def run_mode(config: RunConfig) -> AttackReport:
 # each record's place against the mode's SKELETON as the rows stream (the
 # first divergence is one "record N: expected ..., found ..." problem), run
 # each message's step check from protocol against the messages of its session
-# that _READS names, decode each evidence row into a ledger and re-check its
-# items, and recompute the verdict. The step checks run on every message, in
+# that its body type's READS names, decode each evidence row into a ledger and
+# re-check its items, and recompute the verdict. The step checks run on every message, in
 # place or not. Message problems read "session <sid> <step>: <code>" with the
 # handlers' codes plus misrouted (a route other than its body type's ROUTE,
 # or an R3 not to R1's counterparty), goods-size-mismatch (E1),
 # residue-mismatch (R2), forward-mismatch (R3) and unknown-step. Each check
 # takes its parties from that ROUTE. A message is not checked unless every
-# message its _READS names is logged, that is, present and passed. R2 and R3
+# message its READS names is logged, that is, present and passed. R2 and R3
 # are checked as the arbiter's output, not with the parties' own checks: the
 # buyer's rejection of a stale R3 is the recorded attack.
 
@@ -409,16 +402,12 @@ _MALFORMED = (KeyError, TypeError, ValueError)
 # message's fields are checked by its codec, the verdict record by comparing
 # it whole with the recomputed one.
 _RECORD_KEYS = {
-    "header": {"type", "format", "mode", "bits", "exponent", "seed", "goods_size",
+    "header": {"type", "format", *(f.name for f in fields(RunConfig)),
                "parties", "registry", "ca", "arbiter"},
     "message": {"type", "step", "session", "sender", "recipient", "fields"},
     "milestone": {"type", "session", "label"},
     "evidence": {"type", "party", "goods", "receipts", "origin_proofs"},
 }
-
-# Step -> the steps of its session whose logged bodies its check reads.
-_READS = {"E1": (), "E2": ("E1",), "E3": ("E1",), "E4": ("E1", "E2"),
-          "R1": (), "R2": ("R1",), "R3": ("R1",)}
 
 
 def verify_report(rows: Iterable[dict]) -> list[str]:
@@ -510,8 +499,8 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
     if type(header.get("format")) is not int or header["format"] != 1:
         problems.append(f"header: unsupported format {header.get('format')!r}")
     try:
-        RunConfig(header.get("mode"), header.get("bits"), exponent, header.get("seed"),
-                  header.get("goods_size"))
+        RunConfig(**{f.name: header.get(f.name) for f in fields(RunConfig)
+                     if f.name != "exponent"}, exponent=exponent)
     except (TypeError, ValueError) as exc:
         problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):
@@ -551,7 +540,7 @@ def _check_message(row: dict, logged: dict, registry, ca_pub, arbiter_pub,
     sender, recipient = body.ROUTE
     if (row.get("sender"), row.get("recipient")) != body.ROUTE:
         raise Reject("misrouted")
-    if any((sid, read) not in logged for read in _READS[step]):
+    if any((sid, read) not in logged for read in body.READS):
         return  # a missing one is the skeleton's problem, a failed one its own
     derived = None
     if step == "E1":

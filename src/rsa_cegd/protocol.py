@@ -1,11 +1,12 @@
 """Party state machines and wire messages for the certified-delivery flow.
 
 The seven message body types below are the step table: each carries its
-transcript tag (STEP: E1..E4 for the exchange, R1..R3 for recovery) and its
-route (ROUTE: sender, recipient), which is written nowhere else. A route is
-unsigned metadata: it travels beside a body's fields, not among them. The
-parties are the roles SELLER, BUYER and ARBITER, so no session or step check
-takes a party name, except R1's requester: whoever presents the request.
+transcript tag (STEP: E1..E4 for the exchange, R1..R3 for recovery), route
+(ROUTE: sender, recipient) and the steps of its session whose bodies its
+check reads (READS), written nowhere else. A route is unsigned metadata: it
+travels beside a body's fields, not among them. The parties are the roles
+SELLER, BUYER and ARBITER, so no session or step check takes a party name,
+except R1's requester: whoever presents the request.
 
 Protocol asymmetries are preserved exactly because the attack scripts in
 the harness depend on them:
@@ -99,13 +100,12 @@ BUYER = "buyer"
 ARBITER = "arbiter"
 
 
-# Message bodies. STEP is the transcript tag and ROUTE its (sender,
-# recipient); both are class attributes, not fields, so no codec or signature
-# covers them. The session id is attached by the harness.
+# Message bodies. STEP, ROUTE and READS are class attributes, not fields, so
+# no codec or signature covers them. The session id is attached by the harness.
 
 @dataclass(frozen=True)
 class GoodsOffer:
-    STEP, ROUTE = "E1", (SELLER, BUYER)
+    STEP, ROUTE, READS = "E1", (SELLER, BUYER), ()
     ciphertext: bytes
     cert: GoodsCertificate
     blinded_key: int
@@ -114,7 +114,7 @@ class GoodsOffer:
 
 @dataclass(frozen=True)
 class EncryptedReceipt:
-    STEP, ROUTE = "E2", (BUYER, SELLER)
+    STEP, ROUTE, READS = "E2", (BUYER, SELLER), ("E1",)
     vres: VresTriple
     auth_token: int
     recovery_cert: RecoverableCert
@@ -122,19 +122,19 @@ class EncryptedReceipt:
 
 @dataclass(frozen=True)
 class KeyRelease:
-    STEP, ROUTE = "E3", (SELLER, BUYER)
+    STEP, ROUTE, READS = "E3", (SELLER, BUYER), ("E1",)
     randomizer: int
 
 
 @dataclass(frozen=True)
 class ReceiptRelease:
-    STEP, ROUTE = "E4", (BUYER, SELLER)
+    STEP, ROUTE, READS = "E4", (BUYER, SELLER), ("E1", "E2")
     randomizer: int
 
 
 @dataclass(frozen=True)
 class RecoveryRequest:
-    STEP, ROUTE = "R1", (SELLER, ARBITER)
+    STEP, ROUTE, READS = "R1", (SELLER, ARBITER), ()
     recovery_cert: RecoverableCert
     enc_randomizer: int
     auth_token: int
@@ -146,14 +146,31 @@ class RecoveryRequest:
 
 @dataclass(frozen=True)
 class RecoveredReceiptKey:
-    STEP, ROUTE = "R2", (ARBITER, SELLER)
+    STEP, ROUTE, READS = "R2", (ARBITER, SELLER), ("R1",)
     randomizer: int
 
 
 @dataclass(frozen=True)
 class RecoveredGoodsKey:
-    STEP, ROUTE = "R3", (ARBITER, BUYER)
+    STEP, ROUTE, READS = "R3", (ARBITER, BUYER), ("R1",)
     randomizer: int
+
+
+def _check_authorization(cert: RecoverableCert, token: int, signer_pub: PublicKey | None,
+                         arbiter_pub: PublicKey, enc_randomizer: int,
+                         sender_enc_randomizer: int, sender: str) -> None:
+    """The recovery authorization that E2 and R1 both test, so a tuple the
+    seller accepted passes the arbiter: the certificate, its exponent against
+    the signer's (None: an unknown counterparty), the token naming `sender`."""
+    if not verify_recoverable_cert(cert, arbiter_pub):
+        raise Reject("bad-recovery-cert")
+    if signer_pub is None:
+        raise Reject("unknown-counterparty")
+    if cert.pub.e != signer_pub.e:
+        raise Reject("exponent-mismatch")
+    if not verify_auth_token(token, signer_pub, cert, enc_randomizer,
+                             sender_enc_randomizer, sender):
+        raise Reject("bad-token")
 
 
 def check_offer(offer: GoodsOffer, ca_pub: PublicKey, sender_pub: PublicKey) -> int:
@@ -174,14 +191,9 @@ def check_offer(offer: GoodsOffer, ca_pub: PublicKey, sender_pub: PublicKey) -> 
 def check_encrypted_receipt(msg: EncryptedReceipt, goods_hash: int,
                             signer_pub: PublicKey, arbiter_pub: PublicKey,
                             sender_enc_randomizer: int) -> None:
-    """E2: the recovery certificate, the token (naming the seller), the triple."""
-    if not verify_recoverable_cert(msg.recovery_cert, arbiter_pub):
-        raise Reject("bad-recovery-cert")
-    if msg.recovery_cert.pub.e != signer_pub.e:
-        raise Reject("exponent-mismatch")
-    if not verify_auth_token(msg.auth_token, signer_pub, msg.recovery_cert,
-                             msg.vres.enc_randomizer, sender_enc_randomizer, SELLER):
-        raise Reject("bad-token")
+    """E2: the recovery authorization (its token naming the seller), the triple."""
+    _check_authorization(msg.recovery_cert, msg.auth_token, signer_pub, arbiter_pub,
+                         msg.vres.enc_randomizer, sender_enc_randomizer, SELLER)
     if not verify_vres(msg.vres, goods_hash, signer_pub, msg.recovery_cert.pub):
         raise Reject("bad-vres")
 
@@ -220,17 +232,8 @@ def check_recovery_request(msg: RecoveryRequest, requester: str,
                            arbiter_pub: PublicKey,
                            registry: dict[str, PublicKey]) -> None:
     """R1: internal consistency only; nothing ties the tuple to a session."""
-    if not verify_recoverable_cert(msg.recovery_cert, arbiter_pub):
-        raise Reject("bad-recovery-cert")
-    counter_pub = registry.get(msg.counterparty)
-    if counter_pub is None:
-        raise Reject("unknown-counterparty")
-    if msg.recovery_cert.pub.e != counter_pub.e:
-        raise Reject("exponent-mismatch")
-    if not verify_auth_token(msg.auth_token, counter_pub, msg.recovery_cert,
-                             msg.enc_randomizer, msg.sender_enc_randomizer,
-                             requester):
-        raise Reject("bad-token")
+    _check_authorization(msg.recovery_cert, msg.auth_token, registry.get(msg.counterparty),
+                         arbiter_pub, msg.enc_randomizer, msg.sender_enc_randomizer, requester)
     requester_pub = registry.get(requester)
     if requester_pub is None:
         raise Reject("unknown-requester")

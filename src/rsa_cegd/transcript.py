@@ -213,11 +213,13 @@ _HEX_SLICE = 4096
 
 
 def _small_hex(value) -> str:
-    """The encoder's hook, called only for a row's byte strings: one of up
-    to one slice goes in whole, as its hex; a longer one it refuses."""
+    """The encoder's hook: a byte string of up to one slice goes in whole, as
+    its hex; it refuses a longer one, and any other type, as json.dumps does."""
+    if type(value) is not bytes:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if len(value) <= _HEX_SLICE:
         return value.hex()
-    raise TypeError(f"cannot encode a {type(value).__name__} whole")
+    raise TypeError("cannot encode a bytes whole")
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), default=_small_hex)
@@ -236,10 +238,10 @@ def _whole(value) -> str | None:
 
 def row_pieces(value) -> Iterator[str]:
     """The compact JSON text of `value` (json.dumps with separators (",", ":")),
-    in pieces, with each bytes value written as the string of its lowercase
-    hex. Hex needs no escaping, so a byte string longer than one slice is
-    hexed a slice at a time into pieces of its own; only a dict or list that
-    holds one is split further, and anything else is one piece."""
+    in pieces, bytes written as the string of their lowercase hex, and TypeError
+    for anything else json.dumps refuses. A byte string over one slice is hexed
+    a slice at a time into pieces of its own (hex needs no escaping); only a
+    dict or list that holds one is split further, anything else is one piece."""
     kind = type(value)
     if kind is bytes:
         yield '"'

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import rsa_cegd.crypto as crypto_mod
 from rsa_cegd.cli import main
+from rsa_cegd.transcript import load_report
 from test_digests import GOLDEN_LARGE_GOODS, LARGE_GOODS
 
 TOY = ["--bits", "32", "--exponent", "3"]
@@ -362,3 +364,29 @@ def test_no_fitting_key_is_usage_error(tmp_path, capsys):
         assert err.value.code == 2
         assert "admits exponent 1048577" in capsys.readouterr().err
     assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_exhausted_keygen_budget_is_usage_error(tmp_path, monkeypatch, capsys):
+    # A key that exists but is not found within the retry budget: exit 2 with
+    # keygen's message, no traceback and no file.
+    monkeypatch.setattr(crypto_mod, "_KEYGEN_ATTEMPTS", 0)
+    out = tmp_path / "x.jsonl"
+    for argv in (["keygen"], ["run", "--mode", "honest", "--out", str(out)]):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, *TOY, "--seed", "1"])
+        assert err.value.code == 2
+        assert "no 32-bit keypair admits exponent 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_skips_blank_lines(tmp_path, capsys):
+    # An empty line between two records and a whitespace-only last line are
+    # not records: the file verifies, and reads as the rows without them.
+    out = tmp_path / "replay.jsonl"
+    assert main(["run", "--mode", "replay", *TOY, "--seed", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("".join([*lines[:2], "\n", *lines[2:], " \t"]))
+    capsys.readouterr()
+    assert main(["verify-transcript", str(spaced)]) == 0, capsys.readouterr().out
+    assert list(load_report(spaced)) == [json.loads(line) for line in lines]

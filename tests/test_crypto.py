@@ -198,6 +198,25 @@ def test_keygen_impossible_exponent_fails_before_sampling(monkeypatch):
         rsa_keygen_with_exponent(256, (1 << 256) + 1, seed=0)
 
 
+@pytest.mark.parametrize("sample, message", [
+    (lambda rng: random_prime_below(rng, 1000), "no usable prime below 1000 found"),
+    (lambda rng: random_unit(rng, 1000), "no unit below 1000 found"),
+    (lambda rng: crypto_mod._sample_prime_bits(rng, 16), "no 16-bit prime found"),
+], ids=["random_prime_below", "random_unit", "_sample_prime_bits"])
+def test_exhausted_sampling_budget_raises(monkeypatch, sample, message):
+    # With no attempts left, each rejection sampler gives up with its own message.
+    monkeypatch.setattr(crypto_mod, "_SAMPLE_ATTEMPTS", 0)
+    with pytest.raises(GenerationFailure, match=f"^{message}$"):
+        sample(random.Random(0))
+
+
+def test_exhausted_keygen_budget_raises(monkeypatch):
+    # 32-bit keys with e = 3 exist, so only the spent budget stops this one.
+    monkeypatch.setattr(crypto_mod, "_KEYGEN_ATTEMPTS", 0)
+    with pytest.raises(GenerationFailure, match="^no 32-bit keypair admits exponent 3$"):
+        rsa_keygen_with_exponent(32, 3, seed=0)
+
+
 def test_keygen_validates_arguments():
     with pytest.raises(ValueError):
         rsa_keygen_with_exponent(8, 3, seed=0)

@@ -175,6 +175,19 @@ def test_row_without_long_bytes_is_one_piece():
     assert list(row_pieces({"a": b"\x01"})) == ['{"a":"01"}']
 
 
+@pytest.mark.parametrize("value", [
+    {"a": {1}}, {"a": bytearray(3)}, {"a": memoryview(b"abc")}, {"a": bytearray(5000)},
+    [b"\x01" * 5000, {1}],
+], ids=["set", "short-bytearray", "short-memoryview", "long-bytearray", "set-after-long-bytes"])
+def test_row_pieces_refuses_what_json_dumps_refuses(value):
+    # Only bytes is written as hex: any other value json.dumps cannot encode
+    # raises its TypeError, from a row split at a long byte string too.
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _written(value)
+
+
 # --- parity: the verifier reports what the receiving handler rejects -------------
 
 def _config(mode):
