@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .crypto import GenerationFailure, int_to_hex, rsa_keygen_with_exponent
 from .harness import MODES, RunConfig, run_mode, verify_report
@@ -27,14 +26,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rsa-cegd",
         description="Certified e-goods delivery simulator and transcript checker.")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig._field_defaults
 
     run = sub.add_parser("run", help="execute a scripted scenario")
     run.add_argument("--mode", required=True, choices=MODES)
-    run.add_argument("--bits", type=int, default=RunConfig.bits)
-    run.add_argument("--exponent", type=integer, default=RunConfig.exponent)
+    run.add_argument("--bits", type=int, default=defaults["bits"])
+    run.add_argument("--exponent", type=integer, default=defaults["exponent"])
     run.add_argument("--seed", type=int, default=None,
                      help="falls back to the CEGD_SEED environment variable")
-    run.add_argument("--goods-size", type=int, default=RunConfig.goods_size)
+    run.add_argument("--goods-size", type=int, default=defaults["goods_size"])
     run.add_argument("--out", required=True)
     run.add_argument("--pretty", action="store_true",
                      help="print a human-readable summary")
@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("path")
 
     keygen = sub.add_parser("keygen", help="print a deterministic keypair record")
-    keygen.add_argument("--bits", type=int, default=RunConfig.bits)
-    keygen.add_argument("--exponent", type=integer, default=RunConfig.exponent)
+    keygen.add_argument("--bits", type=int, default=defaults["bits"])
+    keygen.add_argument("--exponent", type=integer, default=defaults["exponent"])
     keygen.add_argument("--seed", type=int, default=None)
 
     return parser
@@ -122,7 +122,7 @@ def _cmd_keygen(parser, args) -> int:
         pair = rsa_keygen_with_exponent(args.bits, args.exponent, seed)
     except (ValueError, GenerationFailure) as exc:
         parser.error(str(exc))
-    fields = {name: int_to_hex(value) for name, value in asdict(pair).items()}
+    fields = {name: int_to_hex(value) for name, value in pair._asdict().items()}
     print(json.dumps({"bits": args.bits, "seed": seed, **fields}, separators=(",", ":")))
     return 0
 

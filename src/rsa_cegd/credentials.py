@@ -10,8 +10,8 @@ owner identity, an expiry, or any link to a protocol run, and the issuers
 take no name either: the CA and the arbiter are their RSA key pairs.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .crypto import (
     HASH_BOUND,
@@ -36,8 +36,7 @@ class InvalidCert(ValueError):
     """Certificate failed verification where a valid one is required."""
 
 
-@dataclass(frozen=True)
-class GoodsCertificate:
+class GoodsCertificate(NamedTuple):
     description: bytes
     ciphertext_hash: int
     goods_hash: int
@@ -45,8 +44,7 @@ class GoodsCertificate:
     signature: int
 
 
-@dataclass(frozen=True)
-class RecoverableCert:
+class RecoverableCert(NamedTuple):
     pub: PublicKey  # recovery keypair's public half; exponent equals the subject's
     masked_exponent: int
     signature: int

@@ -24,8 +24,8 @@ import builtins
 import hashlib
 import random
 import threading
-from dataclasses import dataclass
 from math import gcd, prod
+from typing import NamedTuple
 
 HASH_BITS = 256
 HASH_BOUND = 1 << HASH_BITS
@@ -430,15 +430,13 @@ def random_unit(rng: random.Random, modulus: int) -> int:
     raise GenerationFailure(f"no unit below {modulus} found")
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(NamedTuple):
     """RSA public half: (exponent, modulus)."""
     e: int
     n: int
 
 
-@dataclass(frozen=True)
-class RsaKeyPair:
+class RsaKeyPair(NamedTuple):
     n: int
     e: int
     d: int

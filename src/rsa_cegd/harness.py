@@ -28,8 +28,9 @@ it is a harness bug, not a finding.
 """
 
 import random
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 from . import transcript
 from .credentials import RecoverableCert, hash_goods, issue_recoverable_cert
@@ -115,15 +116,14 @@ class ScriptError(RuntimeError):
     """A scripted run deviated from its expected course."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    bits: int = 512
-    exponent: int = 65537
-    seed: int = 0
-    goods_size: int = 64
+class RunConfig(namedtuple("RunConfig", "mode bits exponent seed goods_size",
+                           defaults=(512, 65537, 0, 64))):
+    """A run's inputs, checked however a RunConfig is made: by a call, by
+    `_make` or by `_replace`, which namedtuple builds with tuple.__new__."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("bits", "exponent", "seed", "goods_size"):
@@ -139,10 +139,14 @@ class RunConfig:
             raise ValueError("goods_size must be positive")
         if self.goods_size > MAX_GOODS_SIZE:
             raise ValueError(f"goods_size must be <= {MAX_GOODS_SIZE}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FairnessVerdict:
+class FairnessVerdict(NamedTuple):
     status: str
     goods_hash: int | None = None
     receipt_holder: str | None = None
@@ -157,15 +161,14 @@ class FairnessVerdict:
         return record
 
 
-@dataclass
 class World:
-    config: RunConfig
-    ca: RsaKeyPair
-    arbiter: RsaKeyPair
-    keyrings: dict[str, RsaKeyPair]
-    buyer_recovery: tuple[RecoverableCert, RsaKeyPair]
-    ledgers: dict[str, EvidenceLedger]
-    records: list = field(default_factory=list)
+    def __init__(self, config: RunConfig, ca: RsaKeyPair, arbiter: RsaKeyPair,
+                 keyrings: dict[str, RsaKeyPair],
+                 buyer_recovery: tuple[RecoverableCert, RsaKeyPair],
+                 ledgers: dict[str, EvidenceLedger]) -> None:
+        self.config, self.ca, self.arbiter, self.keyrings = config, ca, arbiter, keyrings
+        self.buyer_recovery, self.ledgers = buyer_recovery, ledgers
+        self.records: list = []
 
     @property
     def registry(self) -> dict[str, PublicKey]:
@@ -184,8 +187,8 @@ class World:
         return {
             "type": "header",
             "format": 1,
-            **asdict(self.config),
-            "exponent": int_to_hex(self.config.exponent),  # in asdict's place
+            **self.config._asdict(),
+            "exponent": int_to_hex(self.config.exponent),  # in _asdict's place
             "parties": sorted(self.ledgers),
             "registry": {party: transcript.key_fields(pub)
                          for party, pub in sorted(self.registry.items())},
@@ -194,12 +197,11 @@ class World:
         }
 
 
-@dataclass
 class AttackReport:
-    header: dict
-    records: list
-    evidence: dict
-    verdict: FairnessVerdict
+    def __init__(self, header: dict, records: list, evidence: dict,
+                 verdict: FairnessVerdict) -> None:
+        self.header, self.records, self.evidence = header, records, evidence
+        self.verdict = verdict
 
     @property
     def narrative(self) -> list[str]:
@@ -402,7 +404,7 @@ _MALFORMED = (KeyError, TypeError, ValueError)
 # message's fields are checked by its codec, the verdict record by comparing
 # it whole with the recomputed one.
 _RECORD_KEYS = {
-    "header": {"type", "format", *(f.name for f in fields(RunConfig)),
+    "header": {"type", "format", *RunConfig._fields,
                "parties", "registry", "ca", "arbiter"},
     "message": {"type", "step", "session", "sender", "recipient", "fields"},
     "milestone": {"type", "session", "label"},
@@ -499,8 +501,8 @@ def _check_header(header: dict, exponent: int, keys: list, problems: list[str]) 
     if type(header.get("format")) is not int or header["format"] != 1:
         problems.append(f"header: unsupported format {header.get('format')!r}")
     try:
-        RunConfig(**{f.name: header.get(f.name) for f in fields(RunConfig)
-                     if f.name != "exponent"}, exponent=exponent)
+        RunConfig(**{name: header.get(name) for name in RunConfig._fields
+                     if name != "exponent"}, exponent=exponent)
     except (TypeError, ValueError) as exc:
         problems.append(f"header: {exc}")
     if header.get("parties") != sorted(header["registry"]):

@@ -32,9 +32,9 @@ requires of its input (RFC 8017 5.1.2): otherwise v + n would pass as v.
 """
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
+from typing import NamedTuple
 
 from .credentials import (
     GoodsCertificate,
@@ -103,8 +103,7 @@ ARBITER = "arbiter"
 # Message bodies. STEP, ROUTE and READS are class attributes, not fields, so
 # no codec or signature covers them. The session id is attached by the harness.
 
-@dataclass(frozen=True)
-class GoodsOffer:
+class GoodsOffer(NamedTuple):
     STEP, ROUTE, READS = "E1", (SELLER, BUYER), ()
     ciphertext: bytes
     cert: GoodsCertificate
@@ -112,28 +111,24 @@ class GoodsOffer:
     origin_proof: int
 
 
-@dataclass(frozen=True)
-class EncryptedReceipt:
+class EncryptedReceipt(NamedTuple):
     STEP, ROUTE, READS = "E2", (BUYER, SELLER), ("E1",)
     vres: VresTriple
     auth_token: int
     recovery_cert: RecoverableCert
 
 
-@dataclass(frozen=True)
-class KeyRelease:
+class KeyRelease(NamedTuple):
     STEP, ROUTE, READS = "E3", (SELLER, BUYER), ("E1",)
     randomizer: int
 
 
-@dataclass(frozen=True)
-class ReceiptRelease:
+class ReceiptRelease(NamedTuple):
     STEP, ROUTE, READS = "E4", (BUYER, SELLER), ("E1", "E2")
     randomizer: int
 
 
-@dataclass(frozen=True)
-class RecoveryRequest:
+class RecoveryRequest(NamedTuple):
     STEP, ROUTE, READS = "R1", (SELLER, ARBITER), ()
     recovery_cert: RecoverableCert
     enc_randomizer: int
@@ -144,14 +139,12 @@ class RecoveryRequest:
     counterparty: str
 
 
-@dataclass(frozen=True)
-class RecoveredReceiptKey:
+class RecoveredReceiptKey(NamedTuple):
     STEP, ROUTE, READS = "R2", (ARBITER, SELLER), ("R1",)
     randomizer: int
 
 
-@dataclass(frozen=True)
-class RecoveredGoodsKey:
+class RecoveredGoodsKey(NamedTuple):
     STEP, ROUTE, READS = "R3", (ARBITER, BUYER), ("R1",)
     randomizer: int
 

@@ -93,7 +93,7 @@ _NAME = (str, _name)
 def _codec(cls, layout):
     """(encode, decode) between `cls` and its wire fields. `layout` lists
     (wire name, kind[, path]) in wire order; a path "outer.attr" names a
-    field of a nested dataclass that the wire flattens, and a plain "attr"
+    field of a nested value type that the wire flattens, and a plain "attr"
     the attribute that a renamed wire field holds. Decoding fields of the
     wrong shape, or with a key the layout does not list, raises KeyError,
     TypeError or ValueError."""

@@ -32,8 +32,8 @@ arbiter (y mod n')^d' mod n'. Both return the blinding factor exactly
 whenever r < min(n, n'), which generation enforces.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .credentials import RecoverableCert
 from .crypto import (
@@ -59,8 +59,7 @@ class RecoveryMismatch(ValueError):
     """Unblinded value is not the expected signature."""
 
 
-@dataclass(frozen=True)
-class WrappedKey:
+class WrappedKey(NamedTuple):
     """Seller-side wrapping of the goods key k with a prime randomizer r:
     blinded_key = r*k mod n, enc_randomizer = r^e mod n. With the goods
     certificate's enc_key = k^e mod n, the invariant is
@@ -69,15 +68,13 @@ class WrappedKey:
     enc_randomizer: int
 
 
-@dataclass(frozen=True)
-class VresTriple:
+class VresTriple(NamedTuple):
     enc_randomizer: int
     blinded_receipt: int
     control: int
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """A party's signature on the goods hash, plus who signed it: the
     buyer's receipt or the seller's origin proof.
 

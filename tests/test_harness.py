@@ -134,6 +134,16 @@ def test_config_validation():
         RunConfig(mode="honest", bits=32, exponent=3, seed=0, goods_size=0)
 
 
+def test_config_validated_when_derived():
+    # namedtuple builds what _make and _replace return with tuple.__new__,
+    # which would skip RunConfig's checks.
+    with pytest.raises(ValueError, match="bits must be >= 16"):
+        RunConfig("honest")._replace(bits=3)
+    with pytest.raises(ValueError, match="unknown mode 'nope'"):
+        RunConfig._make(("nope", 32, 3, 0, 64))
+    assert RunConfig("honest")._replace(seed=5) == RunConfig("honest", seed=5)
+
+
 # --- evaluator over hand-built evidence --------------------------------------
 
 def test_verdict_fair_when_both_sides_hold():

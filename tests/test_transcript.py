@@ -3,7 +3,6 @@ re-verification, including tamper detection on serialized fields and parity
 between the verifier and the party handlers."""
 
 import copy
-import dataclasses
 import json
 from functools import lru_cache
 
@@ -1035,7 +1034,7 @@ def test_unknown_requester_is_pinned():
     token = make_auth_token(world.keyrings[BUYER], request.recovery_cert,
                             request.enc_randomizer, request.sender_enc_randomizer, "nobody")
     with pytest.raises(Reject) as err:
-        check_recovery_request(dataclasses.replace(request, auth_token=token), "nobody",
+        check_recovery_request(request._replace(auth_token=token), "nobody",
                                world.arbiter.public, world.registry)
     assert err.value.reason == "unknown-requester"
 
